@@ -88,12 +88,12 @@ let e3 ~full () =
   let truth = Harness.ground_truth ~corpus_seed:102 ~n_tokens:n ~query ~thin ~samples:200 () in
   let err_of_chains c =
     let m =
-      Parallel_eval.evaluate ~burn_in:(120 * thin) ~chains:c
+      Harness.pooled ~burn_in:(120 * thin) ~chains:c
         ~make:(fun ~chain ->
           (Harness.make_instance ~corpus_seed:102 ~chain_seed:(500 + (37 * chain) + c)
              ~n_tokens:n ())
             .Harness.pdb)
-        ~strategy:Evaluator.Materialized ~query ~thin ~samples ()
+        ~query ~thin ~samples ()
     in
     Marginals.squared_error_to ~reference:truth m
   in

@@ -31,15 +31,23 @@ let make_instance ?(skip_edges = true) ?params ~corpus_seed ~chain_seed ~n_token
   let pdb = Pdb.create ~world ~proposal ~rng in
   { pdb; crf; n_tokens = Ie.Crf.n_tokens crf }
 
+(* One query's marginals pooled over [chains] parallel chains (§5.4): a
+   single-query Serve.Pool run, which maintains the query as a
+   materialized view exactly like Evaluator's Materialized strategy. *)
+let pooled ?burn_in ~chains ~make ~query ~thin ~samples () =
+  match Serve.Pool.evaluate ?burn_in ~chains ~make ~queries:[ ("q", query) ] ~thin ~samples () with
+  | [ (_, m) ] -> m
+  | _ -> assert false
+
 (* Ground truth for a query: several long materialized runs on identical
    instances, pooled — the paper estimates truth by averaging parallel
    chains (§5.4). *)
 let ground_truth ?(chains = 4) ~corpus_seed ~n_tokens ~query ~thin ~samples () =
   let m =
-    Parallel_eval.evaluate ~burn_in:(30 * thin) ~chains
+    pooled ~burn_in:(30 * thin) ~chains
       ~make:(fun ~chain ->
         (make_instance ~corpus_seed ~chain_seed:(987_654 + (13 * chain)) ~n_tokens ()).pdb)
-      ~strategy:Evaluator.Materialized ~query ~thin ~samples ()
+      ~query ~thin ~samples ()
   in
   Marginals.estimates m
 

@@ -235,36 +235,20 @@ let read_query_file path =
       in
       go [])
 
-let checkpoint_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint-dir" ] ~docv:"DIR"
-        ~doc:
-          "Checkpoint each chain's full serving state to $(docv)/chain-<i>.ckpt and \
-           supervise crashed chains (bounded retry, resuming from the last snapshot).")
-
-let checkpoint_every_arg =
-  Arg.(
-    value
-    & opt int 100
-    & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:"Samples between checkpoints (0 = only at completion).")
-
 let checkpoint_retries_arg =
   Arg.(
     value
     & opt int 2
     & info [ "checkpoint-retries" ] ~docv:"R"
-        ~doc:"Crash retries per chain before giving up.")
+        ~doc:"Crash retries per chain before giving up (with --wal-dir).")
 
 let resume_arg =
   Arg.(
     value & flag
     & info [ "resume" ]
         ~doc:
-          "Resume from durable state left by a previous run: the last snapshot in \
-           --checkpoint-dir, plus the replayed delta log when --wal-dir is set.")
+          "Resume from the durable state a previous run left in --wal-dir: the last \
+           snapshot plus the replayed delta log.")
 
 let wal_dir_arg =
   Arg.(
@@ -272,11 +256,10 @@ let wal_dir_arg =
     & opt (some string) None
     & info [ "wal-dir" ] ~docv:"DIR"
         ~doc:
-          "Delta-log durability (docs/DURABILITY.md): append each sample's world delta \
-           to $(docv)/chain-<i>.wal and rewrite the full snapshot only at compaction — \
-           O(|delta|) per sample instead of O(|D|) per checkpoint. Overrides \
-           --checkpoint-every; combines with --checkpoint-dir only when both name the \
-           same directory.")
+          "Make the chains durable (docs/DURABILITY.md): each keeps a full snapshot and \
+           a delta log in $(docv), appends every sample's world delta to the log — \
+           O(|delta|) per sample — and rewrites the snapshot only at compaction. \
+           $(b,serve) also retries a crashed chain from that state.")
 
 let wal_fsync_every_arg =
   Arg.(
@@ -297,9 +280,21 @@ let wal_compact_ratio_arg =
           "Rewrite the snapshot and rotate the log once log bytes exceed $(docv) x \
            snapshot bytes.")
 
+(* The durability flags [serve] and [daemon] share: validated once, with
+   one set of error lines, into the log policy both hand to Serve.Durable. *)
+let durability_policy ~resume ~wal_dir ~wal_fsync_every ~wal_compact_ratio =
+  let fail msg =
+    Printf.eprintf "error: %s\n" msg;
+    exit 1
+  in
+  if resume && wal_dir = None then fail "--resume requires --wal-dir";
+  if wal_fsync_every < 0 then fail "--wal-fsync-every must be >= 0";
+  if wal_compact_ratio <= 0. then fail "--wal-compact-ratio must be > 0";
+  { Serve.Durable.fsync_every = wal_fsync_every; compact_ratio = wal_compact_ratio }
+
 let serve_cmd =
-  let run seed tokens queries_file chains shards samples thin top ckpt_dir ckpt_every
-      ckpt_retries resume wal_dir wal_fsync_every wal_compact_ratio metrics_out trace_out =
+  let run seed tokens queries_file chains shards samples thin top ckpt_retries resume
+      wal_dir wal_fsync_every wal_compact_ratio metrics_out trace_out =
     with_obs "serve" metrics_out trace_out @@ fun () ->
     (* PDB_FAILPOINT="pool.sample@K" injects a crash at sample K — the
        supervision path exercised end-to-end. *)
@@ -307,26 +302,7 @@ let serve_cmd =
      with Invalid_argument msg ->
        Printf.eprintf "error: %s\n" msg;
        exit 1);
-    if resume && ckpt_dir = None && wal_dir = None then begin
-      Printf.eprintf "error: --resume requires --checkpoint-dir or --wal-dir\n";
-      exit 1
-    end;
-    (match (ckpt_dir, wal_dir) with
-    | Some c, Some w when not (String.equal c w) ->
-      Printf.eprintf
-        "error: --checkpoint-dir %s and --wal-dir %s disagree; the snapshot and its \
-         delta log live in one directory\n"
-        c w;
-      exit 1
-    | _ -> ());
-    if wal_fsync_every < 0 then begin
-      Printf.eprintf "error: --wal-fsync-every must be >= 0\n";
-      exit 1
-    end;
-    if wal_compact_ratio <= 0. then begin
-      Printf.eprintf "error: --wal-compact-ratio must be > 0\n";
-      exit 1
-    end;
+    let policy = durability_policy ~resume ~wal_dir ~wal_fsync_every ~wal_compact_ratio in
     let sqls = read_query_file queries_file in
     if sqls = [] then begin
       Printf.eprintf "error: %s contains no queries\n" queries_file;
@@ -345,35 +321,24 @@ let serve_cmd =
       Printf.eprintf "error: --shards must be >= 1\n";
       exit 1
     end;
-    if shards > 1 && (chains > 1 || ckpt_dir <> None || wal_dir <> None || resume) then begin
+    if shards > 1 && (chains > 1 || wal_dir <> None || resume) then begin
       Printf.eprintf
         "error: --shards does not combine with --chains > 1 or the durability flags\n";
       exit 1
     end;
     let durability =
-      match (ckpt_dir, wal_dir) with
-      | None, None -> None
-      | dir_opt, wal_opt ->
-        let dir = match wal_opt with Some w -> w | None -> Option.get dir_opt in
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        Some
+      Option.map
+        (fun dir ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           {
             Serve.Pool.dir;
-            every = ckpt_every;
             resume;
             retries = ckpt_retries;
             backoff_s = 0.05;
             remake = (fun ~chain db -> ner_pdb_of_db ~seed ~chain db);
-            wal =
-              (match wal_opt with
-              | None -> None
-              | Some _ ->
-                Some
-                  {
-                    Serve.Pool.fsync_every = wal_fsync_every;
-                    compact_ratio = wal_compact_ratio;
-                  });
-          }
+            policy;
+          })
+        wal_dir
     in
     let t0 = Obs.Timer.start () in
     let results, served_line =
@@ -423,9 +388,8 @@ let serve_cmd =
           delta stream.")
     Term.(
       const run $ seed_arg $ tokens_arg $ queries_file_arg $ chains_arg $ shards_arg
-      $ samples_arg $ thin_arg $ top_arg $ checkpoint_dir_arg $ checkpoint_every_arg
-      $ checkpoint_retries_arg $ resume_arg $ wal_dir_arg $ wal_fsync_every_arg
-      $ wal_compact_ratio_arg $ metrics_out_arg $ trace_out_arg)
+      $ samples_arg $ thin_arg $ top_arg $ checkpoint_retries_arg $ resume_arg $ wal_dir_arg
+      $ wal_fsync_every_arg $ wal_compact_ratio_arg $ metrics_out_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -558,18 +522,7 @@ let daemon_cmd =
       max_bootstraps slow_bytes wal_dir wal_fsync_every wal_compact_ratio resume
       metrics_out trace_out =
     with_obs "daemon" metrics_out trace_out @@ fun () ->
-    if resume && wal_dir = None then begin
-      Printf.eprintf "error: --resume requires --wal-dir\n";
-      exit 1
-    end;
-    if wal_fsync_every < 0 then begin
-      Printf.eprintf "error: --wal-fsync-every must be >= 0\n";
-      exit 1
-    end;
-    if wal_compact_ratio <= 0. then begin
-      Printf.eprintf "error: --wal-compact-ratio must be > 0\n";
-      exit 1
-    end;
+    let policy = durability_policy ~resume ~wal_dir ~wal_fsync_every ~wal_compact_ratio in
     let cfg =
       {
         (Serve.Daemon.default_config ~socket_path:socket) with
@@ -591,9 +544,6 @@ let daemon_cmd =
         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
         let snap_path = Filename.concat dir "daemon.ckpt" in
         let wal_path = Filename.concat dir "daemon.wal" in
-        let policy =
-          { Serve.Durable.fsync_every = wal_fsync_every; compact_ratio = wal_compact_ratio }
-        in
         let durable =
           if resume then
             Serve.Durable.resume ~snap_path ~wal_path policy

@@ -49,8 +49,7 @@ type sub = { every : int; mutable last_emit : int; mutable pending : string opti
 type client = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
-  outbuf : Buffer.t;
-  mutable out_off : int;  (* bytes of [outbuf] already written to the socket *)
+  outbuf : Buffer.t;  (* unsent output only: written bytes are dropped *)
   subs : sub IT.t;  (* keyed by wire query id *)
   mutable closing : bool;  (* farewell frame queued; drop once flushed *)
   mutable alive : bool;
@@ -134,7 +133,7 @@ let of_durable ?scheduler cfg d = make ?scheduler cfg (Durable.registry d) (Some
 
 (* ---------- output ---------- *)
 
-let unflushed c = Buffer.length c.outbuf - c.out_off
+let unflushed c = Buffer.length c.outbuf
 
 let enqueue c resp =
   Buffer.add_string c.outbuf (Protocol.encode_response resp);
@@ -166,22 +165,20 @@ let drop_client t c =
 (* Write as much buffered output as the socket takes right now. When the
    buffer drains, promote at most one pending (coalesced) update per
    subscription and push again — so a recovering client gets the newest
-   update per query first, not a replay of stale ones. *)
+   update per query first, not a replay of stale ones. A partial write
+   keeps only the unsent tail, so each attempt copies at most the
+   backlog (bounded by coalescing), never the bytes already sent. *)
 let flush_client t c =
   let write_once () =
     let len = unflushed c in
     if len = 0 then true
     else
-      let bytes = Buffer.to_bytes c.outbuf in
-      match Unix.write c.fd bytes c.out_off len with
+      let pending = Buffer.contents c.outbuf in
+      match Unix.write_substring c.fd pending 0 len with
       | n ->
-          c.out_off <- c.out_off + n;
-          if unflushed c = 0 then begin
-            Buffer.clear c.outbuf;
-            c.out_off <- 0;
-            true
-          end
-          else n > 0
+          Buffer.clear c.outbuf;
+          if n < len then Buffer.add_substring c.outbuf pending n (len - n);
+          n > 0
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
           false
@@ -216,9 +213,8 @@ let flush_client t c =
 (* ---------- requests ---------- *)
 
 let find_query t wire_id =
-  List.find_opt
-    (fun (qid, _) -> Int.equal (Registry.id_to_int qid) wire_id)
-    (Registry.queries t.reg)
+  let qid = Registry.id_of_int wire_id in
+  Option.map (fun name -> (qid, name)) (Registry.query_name t.reg qid)
 
 let find_by_name t name =
   List.find_opt (fun (_, n) -> String.equal n name) (Registry.queries t.reg)
@@ -257,11 +253,7 @@ let handle_register t c ~sql ~name =
         | qid ->
             t.bootstraps_this_tick <- t.bootstraps_this_tick + 1;
             Scheduler.track t.sched (Registry.id_to_int qid);
-            let n =
-              match List.assoc_opt qid (Registry.queries t.reg) with
-              | Some n -> n
-              | None -> sql
-            in
+            let n = Option.value (Registry.query_name t.reg qid) ~default:sql in
             enqueue c (registered_reply t qid n)
         | exception Relational.Sql.Parse_error msg ->
             enqueue c (Protocol.Error { code = Protocol.Sql; msg })
@@ -406,7 +398,6 @@ let accept_clients t =
             fd;
             inbuf = Buffer.create 256;
             outbuf = Buffer.create 256;
-            out_off = 0;
             subs = IT.create 4;
             closing = false;
             alive = true;

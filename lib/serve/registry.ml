@@ -32,44 +32,83 @@ type entry = {
 
 module IT = Hashtbl.Make (Int)
 
-(* [entries] gives O(1) find/insert/remove/count; [rev_order] preserves
-   registration order (newest first — registration prepends in O(1), the
-   ordered read side reverses). Every view is compiled over the one
-   [cache], so structurally-equal subplans across queries resolve to
-   shared nodes maintained once per delta batch. *)
-type t = {
-  pdb : Core.Pdb.t;
+(* The views half of a registry: everything WAL replay rebuilds before a
+   chain exists. [entries] gives O(1) find/insert/remove/count;
+   [rev_order] preserves registration order (newest first — registration
+   prepends in O(1), the ordered read side reverses). Every view is
+   compiled over the one [cache], so structurally-equal subplans across
+   queries resolve to shared nodes maintained once per delta batch. *)
+type views = {
+  cache : View.cache;
   entries : entry IT.t;
   mutable rev_order : query_id list;
-  cache : View.cache;
   mutable next_id : int;
   mutable samples : int;
+}
+
+type t = {
+  pdb : Core.Pdb.t;
+  views : views;
   mutable journal : (Checkpoint.Wal.record -> unit) option;
 }
 
-let record_queries t =
+let record_queries v =
   if Obs.Metrics.enabled () then begin
-    Obs.Metrics.set_gauge m_queries (float_of_int (IT.length t.entries));
-    Obs.Metrics.set_gauge m_shared_nodes (float_of_int (View.cache_shared t.cache))
+    Obs.Metrics.set_gauge m_queries (float_of_int (IT.length v.entries));
+    Obs.Metrics.set_gauge m_shared_nodes (float_of_int (View.cache_shared v.cache))
   end
 
 (* Registered entries in registration order ([rev_order] is newest-first,
    so one rev_map both maps and restores the order). *)
-let in_order t =
+let in_order v =
   List.rev_map
-    (fun id -> match IT.find_opt t.entries id with Some e -> e | None -> assert false)
-    t.rev_order
+    (fun id -> match IT.find_opt v.entries id with Some e -> e | None -> assert false)
+    v.rev_order
 
-let iter_entries t f = List.iter f (in_order t)
+let add_entry v e =
+  IT.replace v.entries e.id e;
+  v.rev_order <- e.id :: v.rev_order
+
+(* ---------- view-set transitions ----------
+
+   The three ways the registered set changes, shared by the live
+   operations and WAL replay. They take the database explicitly because
+   replay runs them over the restored tables before [make_pdb] has built
+   the chain. *)
+
+(* Attach an already-compiled plan: one full evaluation against [db],
+   which is also the query's first observed sample — matching
+   Core.Evaluator's sample-0 observation. *)
+let bootstrap v db ~id ~name algebra =
+  let view = View.create ~cache:v.cache db algebra in
+  Obs.Metrics.incr m_bootstrap_evals;
+  let marginals = Core.Marginals.create () in
+  Core.Marginals.observe marginals (View.result view);
+  add_entry v { id; name; view; marginals }
+
+let remove v e =
+  IT.remove v.entries e.id;
+  v.rev_order <- List.filter (fun i -> not (Int.equal i e.id)) v.rev_order;
+  View.release v.cache e.view
+
+(* One delta batch into every view, in registration order; [observe]
+   folds each view's new answer into its marginals (a sample point) or
+   not (an absorb). *)
+let fan_out v delta ~observe =
+  List.iter
+    (fun e ->
+      View.update e.view delta;
+      if observe then Core.Marginals.observe e.marginals (View.result e.view))
+    (in_order v)
 
 let create pdb =
   ignore (Core.World.drain_delta (Core.Pdb.world pdb) : Delta.t);
-  let t =
-    { pdb; entries = IT.create 64; rev_order = []; cache = View.cache_create ();
-      next_id = 0; samples = 0; journal = None }
+  let views =
+    { cache = View.cache_create (); entries = IT.create 64; rev_order = []; next_id = 0;
+      samples = 0 }
   in
-  record_queries t;
-  t
+  record_queries views;
+  { pdb; views; journal = None }
 
 let pdb t = t.pdb
 let set_journal t sink = t.journal <- Some sink
@@ -105,7 +144,7 @@ let absorb_pending t =
        the restored database and views to exactly the state the event
        that follows it (usually a [Register]) was performed under. *)
     emit t (Checkpoint.Wal.Absorb { delta = wal_delta delta });
-    iter_entries t (fun e -> View.update e.view delta)
+    fan_out t.views delta ~observe:false
   end
 
 (* Normalize once, at registration: syntactic rewrites put equal queries
@@ -116,24 +155,14 @@ let absorb_pending t =
    statistics that may since have drifted. *)
 let compile t algebra = Optimizer.reorder (Core.Pdb.db t.pdb) (Optimizer.optimize algebra)
 
-let add_entry t e =
-  IT.replace t.entries e.id e;
-  t.rev_order <- e.id :: t.rev_order
-
 let register ?name t algebra =
   absorb_pending t;
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  let id = t.views.next_id in
+  t.views.next_id <- id + 1;
   let name = match name with Some n -> n | None -> Printf.sprintf "q%d" id in
   let algebra = compile t algebra in
-  let view = View.create ~cache:t.cache (Core.Pdb.db t.pdb) algebra in
-  Obs.Metrics.incr m_bootstrap_evals;
-  let marginals = Core.Marginals.create () in
-  (* The world the query was registered under is its first sample, matching
-     Core.Evaluator's sample-0 observation. *)
-  Core.Marginals.observe marginals (View.result view);
-  add_entry t { id; name; view; marginals };
-  record_queries t;
+  bootstrap t.views (Core.Pdb.db t.pdb) ~id ~name algebra;
+  record_queries t.views;
   emit t (Checkpoint.Wal.Register { id; name; algebra });
   id
 
@@ -142,37 +171,30 @@ let register_sql ?name t sql =
   register ~name t (Sql.parse sql)
 
 let find t id =
-  match IT.find_opt t.entries id with
+  match IT.find_opt t.views.entries id with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Serve.Registry: unknown query id %d" id)
 
 let unregister t id =
   let e = find t id in
-  IT.remove t.entries id;
-  t.rev_order <- List.filter (fun i -> not (Int.equal i id)) t.rev_order;
-  View.release t.cache e.view;
-  record_queries t;
+  remove t.views e;
+  record_queries t.views;
   emit t (Checkpoint.Wal.Unregister { id });
   e.marginals
 
-let query_count t = IT.length t.entries
-let queries t = List.map (fun e -> (e.id, e.name)) (in_order t)
+let query_count t = IT.length t.views.entries
+let queries t = List.map (fun e -> (e.id, e.name)) (in_order t.views)
+let query_name t id = Option.map (fun e -> e.name) (IT.find_opt t.views.entries id)
 let marginals t id = (find t id).marginals
-let samples t = t.samples
-let shared_nodes t = View.cache_shared t.cache
-let cached_nodes t = View.cache_nodes t.cache
+let samples t = t.views.samples
+let shared_nodes t = View.cache_shared t.views.cache
+let cached_nodes t = View.cache_nodes t.views.cache
 
 let step t ~thin =
   Core.Pdb.walk t.pdb ~steps:thin;
   let delta = Core.World.drain_delta (Core.Pdb.world t.pdb) in
-  let ordered = in_order t in
-  Obs.Timer.record m_fanout_ns (fun () ->
-      List.iter
-        (fun e ->
-          View.update e.view delta;
-          Core.Marginals.observe e.marginals (View.result e.view))
-        ordered);
-  t.samples <- t.samples + 1;
+  Obs.Timer.record m_fanout_ns (fun () -> fan_out t.views delta ~observe:true);
+  t.views.samples <- t.views.samples + 1;
   Obs.Metrics.incr m_samples;
   (match t.journal with
   | None -> ()
@@ -192,8 +214,8 @@ let step t ~thin =
   if Obs.Trace.enabled () then
     Obs.Trace.emit
       ~args:
-        [ ("queries", string_of_int (IT.length t.entries));
-          ("sample", string_of_int t.samples);
+        [ ("queries", string_of_int (IT.length t.views.entries));
+          ("sample", string_of_int t.views.samples);
           ("delta_rows", string_of_int (Delta.total_magnitude delta)) ]
       "serve.sample"
 
@@ -211,11 +233,11 @@ let snapshot t =
   absorb_pending t;
   let stats = Core.Pdb.stats t.pdb in
   {
-    Checkpoint.State.samples = t.samples;
+    Checkpoint.State.samples = t.views.samples;
     steps = Core.Pdb.steps_taken t.pdb;
     proposed = stats.Mcmc.Metropolis.proposed;
     accepted = stats.Mcmc.Metropolis.accepted;
-    next_id = t.next_id;
+    next_id = t.views.next_id;
     rng = Mcmc.Rng.export (Core.Pdb.rng t.pdb);
     tables = Checkpoint.State.capture_tables (Core.Pdb.db t.pdb);
     queries =
@@ -229,7 +251,7 @@ let snapshot t =
             q_z = Core.Marginals.samples e.marginals;
             q_nodes = List.map Bag.to_list (View.node_states e.view);
           })
-        (in_order t);
+        (in_order t.views);
   }
 
 let bag_of_entries entries =
@@ -250,33 +272,6 @@ let restore_entry ~cache db q =
     Core.Marginals.of_counts ~samples:q.Checkpoint.State.q_z q.Checkpoint.State.q_counts
   in
   { id = q.Checkpoint.State.q_id; name = q.Checkpoint.State.q_name; view; marginals }
-
-let restore ~make_pdb snap =
-  let db = Checkpoint.State.restore_db snap.Checkpoint.State.tables in
-  (* The model and proposal read current field values at construction time
-     (label mirrors, variable assignments), so building them over the
-     restored database leaves them consistent with it; importing the
-     generator afterwards makes the resumed walk draw the checkpointed
-     chain's exact trajectory. *)
-  let pdb = make_pdb db in
-  if Core.Pdb.db pdb != db then
-    invalid_arg "Serve.Registry.restore: make_pdb must build over the restored database";
-  Mcmc.Rng.import (Core.Pdb.rng pdb) snap.Checkpoint.State.rng;
-  Core.Pdb.restore_counters pdb ~steps:snap.Checkpoint.State.steps
-    ~proposed:snap.Checkpoint.State.proposed
-    ~accepted:snap.Checkpoint.State.accepted;
-  ignore (Core.World.drain_delta (Core.Pdb.world pdb) : Delta.t);
-  let cache = View.cache_create () in
-  let t =
-    { pdb; entries = IT.create 64; rev_order = []; cache;
-      next_id = snap.Checkpoint.State.next_id; samples = snap.Checkpoint.State.samples;
-      journal = None }
-  in
-  List.iter
-    (fun q -> add_entry t (restore_entry ~cache db q))
-    snap.Checkpoint.State.queries;
-  record_queries t;
-  t
 
 (* ---------- WAL replay ---------- *)
 
@@ -323,26 +318,23 @@ let delta_of_wal (delta : Checkpoint.Wal.delta) =
   d
 
 let restore_wal ~make_pdb snap ~base_samples ~records =
-  if base_samples > snap.Checkpoint.State.samples then
+  let snap_samples = snap.Checkpoint.State.samples in
+  if base_samples > snap_samples then
     raise
       (Checkpoint.Codec.Corrupt
          (Printf.sprintf
             "WAL base %d is ahead of snapshot at %d samples — compaction writes the \
              snapshot before rotating, so the log cannot extend a state the snapshot \
              has not reached"
-            base_samples snap.Checkpoint.State.samples));
-  let snap_samples = snap.Checkpoint.State.samples in
+            base_samples snap_samples));
   let db = Checkpoint.State.restore_db snap.Checkpoint.State.tables in
-  let cache = View.cache_create () in
-  let entries = IT.create 64 in
-  let rev_order = ref [] in
-  let add e =
-    IT.replace entries e.id e;
-    rev_order := e.id :: !rev_order
+  let views =
+    { cache = View.cache_create (); entries = IT.create 64; rev_order = [];
+      next_id = snap.Checkpoint.State.next_id; samples = snap_samples }
   in
-  List.iter (fun q -> add (restore_entry ~cache db q)) snap.Checkpoint.State.queries;
-  let next_id = ref snap.Checkpoint.State.next_id in
-  let samples = ref snap_samples in
+  List.iter
+    (fun q -> add_entry views (restore_entry ~cache:views.cache db q))
+    snap.Checkpoint.State.queries;
   (* Running sample ordinal within the log. Records at or below the
      snapshot's sample count are already part of the snapshot (the
      crash-between-snapshot-and-rotation window) and are skipped; see
@@ -354,29 +346,26 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
   let event_live () =
     !seen > snap_samples || (Int.equal !seen snap_samples && Int.equal base_samples snap_samples)
   in
-  let each_entry f =
-    List.iter
-      (fun id -> match IT.find_opt entries id with Some e -> f e | None -> assert false)
-      (List.rev !rev_order)
-  in
-  let fan_out delta ~observe =
+  let replay delta ~observe =
     apply_wal_delta db delta;
-    let d = delta_of_wal delta in
-    each_entry (fun e ->
-        View.update e.view d;
-        if observe then Core.Marginals.observe e.marginals (View.result e.view))
+    fan_out views (delta_of_wal delta) ~observe;
+    Obs.Metrics.incr m_replay
   in
-  let last_sample = ref None in
+  (* The chain resumes from the last replayed sample when there is one,
+     else from the snapshot point. *)
+  let resume_at =
+    ref
+      Checkpoint.State.(snap.steps, snap.proposed, snap.accepted, snap.rng)
+  in
   List.iter
     (fun record ->
       match (record : Checkpoint.Wal.record) with
       | Sample { steps; proposed; accepted; rng; delta } ->
           incr seen;
           if !seen > snap_samples then begin
-            fan_out delta ~observe:true;
-            samples := !samples + 1;
-            last_sample := Some (steps, proposed, accepted, rng);
-            Obs.Metrics.incr m_replay
+            replay delta ~observe:true;
+            views.samples <- views.samples + 1;
+            resume_at := (steps, proposed, accepted, rng)
           end
       | Register { id; name; algebra } ->
           if event_live () then begin
@@ -386,48 +375,31 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
                compaction. The record carries the already-compiled plan,
                so the rebuilt view shares the same cached subtrees the
                original did. *)
-            let view = View.create ~cache db algebra in
-            Obs.Metrics.incr m_bootstrap_evals;
-            let marginals = Core.Marginals.create () in
-            Core.Marginals.observe marginals (View.result view);
-            add { id; name; view; marginals };
-            next_id := Int.max !next_id (id + 1);
+            bootstrap views db ~id ~name algebra;
+            views.next_id <- Int.max views.next_id (id + 1);
             Obs.Metrics.incr m_replay
           end
       | Unregister { id } ->
           if event_live () then begin
-            (match IT.find_opt entries id with
-            | Some e ->
-                IT.remove entries id;
-                rev_order := List.filter (fun i -> not (Int.equal i id)) !rev_order;
-                View.release cache e.view
-            | None -> ());
+            Option.iter (remove views) (IT.find_opt views.entries id);
             Obs.Metrics.incr m_replay
           end
-      | Absorb { delta } ->
-          if event_live () then begin
-            fan_out delta ~observe:false;
-            Obs.Metrics.incr m_replay
-          end)
+      | Absorb { delta } -> if event_live () then replay delta ~observe:false)
     records;
+  (* The model and proposal read current field values at construction time
+     (label mirrors, variable assignments), so building them over the
+     restored database leaves them consistent with it; importing the
+     generator afterwards makes the resumed walk draw the checkpointed
+     chain's exact trajectory. *)
   let pdb = make_pdb db in
   if Core.Pdb.db pdb != db then
-    invalid_arg "Serve.Registry.restore_wal: make_pdb must build over the restored database";
-  (* The chain resumes from the last replayed sample when there is one,
-     else from the snapshot point. *)
-  (match !last_sample with
-  | Some (steps, proposed, accepted, rng) ->
-      Mcmc.Rng.import (Core.Pdb.rng pdb) rng;
-      Core.Pdb.restore_counters pdb ~steps ~proposed ~accepted
-  | None ->
-      Mcmc.Rng.import (Core.Pdb.rng pdb) snap.Checkpoint.State.rng;
-      Core.Pdb.restore_counters pdb ~steps:snap.Checkpoint.State.steps
-        ~proposed:snap.Checkpoint.State.proposed
-        ~accepted:snap.Checkpoint.State.accepted);
+    invalid_arg "Serve.Registry.restore: make_pdb must build over the restored database";
+  let steps, proposed, accepted, rng = !resume_at in
+  Mcmc.Rng.import (Core.Pdb.rng pdb) rng;
+  Core.Pdb.restore_counters pdb ~steps ~proposed ~accepted;
   ignore (Core.World.drain_delta (Core.Pdb.world pdb) : Delta.t);
-  let t =
-    { pdb; entries; rev_order = !rev_order; cache; next_id = !next_id; samples = !samples;
-      journal = None }
-  in
-  record_queries t;
-  t
+  record_queries views;
+  { pdb; views; journal = None }
+
+let restore ~make_pdb snap =
+  restore_wal ~make_pdb snap ~base_samples:snap.Checkpoint.State.samples ~records:[]

@@ -79,6 +79,10 @@ val query_count : t -> int
 val queries : t -> (query_id * string) list
 (** Registered queries in registration order. *)
 
+val query_name : t -> query_id -> string option
+(** The registered name of one query, [None] if the id names no
+    registered query. O(1), unlike a scan of {!queries}. *)
+
 val marginals : t -> query_id -> Core.Marginals.t
 (** Live estimates for one query (updated in place by {!step}). Raises
     [Invalid_argument] on an unknown id. *)
@@ -125,7 +129,8 @@ val restore : make_pdb:(Relational.Database.t -> Core.Pdb.t) -> Checkpoint.State
     overwritten with the snapshot's. Performs no query evaluation
     ([serve.bootstrap_evals] does not move). Raises [Invalid_argument] if
     [make_pdb] ignores its database argument, and [Checkpoint.Codec.Corrupt]
-    if the snapshot is internally inconsistent. *)
+    if the snapshot is internally inconsistent. This is {!restore_wal}
+    with an empty log tail. *)
 
 (** {1 Delta-log durability} (see {!Checkpoint.Wal}, {!Durable},
     docs/DURABILITY.md)

@@ -1,28 +1,14 @@
 (* Metrics (docs/OBSERVABILITY.md): "shard.count" is the effective
    partition width of the last evaluate call; "shard.merge_ns" spans the
-   per-query Marginals.merge_shards union at the end of a run. *)
+   per-query Marginals.merge_shards unions at the end of a run. *)
 let m_count = Obs.Metrics.gauge "shard.count"
 let m_merge_ns = Obs.Metrics.counter "shard.merge_ns"
 
-let evaluate ?(burn_in = 0) ~shards ~make ~queries ~thin ~samples () =
+let evaluate ?burn_in ~shards ~make ~queries ~thin ~samples () =
   if shards < 1 then invalid_arg "Serve.Shard: shards must be >= 1";
   Obs.Metrics.set_gauge m_count (float_of_int shards);
-  let run i =
-    let pdb = make ~shard:i in
-    if burn_in > 0 then Core.Pdb.walk pdb ~steps:burn_in;
-    let reg = Registry.create pdb in
-    List.iter
-      (fun (name, q) -> ignore (Registry.register ~name reg q : Registry.query_id))
-      queries;
-    Registry.run reg ~thin ~samples;
-    reg
-  in
-  let per_shard = Mcmc.Parallel.map ~n:shards run in
-  (* Keyed by query name, like Pool's cross-chain merge: a shard missing a
-     query raises instead of silently pairing the wrong marginals. *)
-  let by_name = List.map (Merge_keyed.marginals_by_name ~who:"Serve.Shard") per_shard in
-  Obs.Timer.record m_merge_ns (fun () ->
-      List.map
-        (fun (name, _) ->
-          (name, Core.Marginals.merge_shards (Merge_keyed.across ~who:"Serve.Shard" by_name name)))
-        queries)
+  Pool.run ?burn_in
+    ~merge:(fun ms -> Obs.Timer.record m_merge_ns (fun () -> Core.Marginals.merge_shards ms))
+    ~chains:shards
+    ~make:(fun ~chain -> make ~shard:chain)
+    ~queries ~thin ~samples ()

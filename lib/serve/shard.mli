@@ -5,8 +5,9 @@
     Where {!Pool} runs c chains over the {e same} data and averages
     their estimates, a shard pool splits the data itself (DESIGN.md §10;
     the split is computed upstream, e.g. {!Ie.Sharding}) and runs one
-    independent chain per slice on its own domain
-    ({!Mcmc.Parallel.map}). Each shard's state space is a fraction of
+    independent chain per slice on its own domain — {!Pool.run}, the
+    same per-chain runner, with a union merge in place of averaging.
+    Each shard's state space is a fraction of
     the corpus, so a sweep costs proportionally fewer MH steps — that,
     not domain parallelism, is the scaling the 1M–10M-token runs of
     EXPERIMENTS.md E10 measure on a single core.

@@ -289,59 +289,23 @@ let rm_rf dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-(* Kill the chain at sample 8 (after the sample-5 checkpoint), let the
-   supervisor retry, and demand the final marginals be bit-identical to an
-   uninterrupted run — with the restore paying zero bootstrap
-   evaluations. *)
-let test_kill_and_resume_bit_identical () =
-  Obs.Metrics.set_enabled true;
-  let dir = fresh_ckpt_dir () in
-  Fun.protect ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Failpoint.disarm ();
-      rm_rf dir)
-  @@ fun () ->
-  let queries = List.map (fun sql -> (sql, Sql.parse sql)) test_queries in
-  let make ~chain = build_pdb ~seed:(700 + chain) () in
-  let durability =
-    {
-      Serve.Pool.dir;
-      every = 5;
-      resume = false;
-      retries = 2;
-      backoff_s = 0.;
-      remake = (fun ~chain db -> pdb_over_db ~n_items:4 ~seed:(700 + chain) db);
-      wal = None;
-    }
-  in
-  let reference =
-    Serve.Pool.evaluate ~chains:1 ~make ~queries ~thin:4 ~samples:14 ()
-  in
-  let bootstraps0 = counter_value "serve.bootstrap_evals" in
-  let restores0 = counter_value "checkpoint.restore.count" in
-  let retries0 = counter_value "checkpoint.retry.count" in
-  Failpoint.arm ~name:"pool.sample" ~at:8 ();
-  let survived =
-    Serve.Pool.evaluate ~chains:1 ~durability ~make ~queries ~thin:4 ~samples:14 ()
-  in
-  Alcotest.(check int) "one supervised retry" (retries0 + 1)
-    (counter_value "checkpoint.retry.count");
-  Alcotest.(check int) "one restore" (restores0 + 1)
-    (counter_value "checkpoint.restore.count");
-  (* Registration bootstraps once per query on the fresh start; the restore
-     after the crash must not evaluate anything. *)
-  Alcotest.(check int) "zero bootstrap evals on restore"
-    (bootstraps0 + List.length queries)
-    (counter_value "serve.bootstrap_evals");
-  List.iter2
-    (fun (sql, _) (sql', m') ->
-      Alcotest.(check string) "query order" sql sql';
-      estimates_exactly_equal sql (List.assoc sql reference) m')
-    queries survived
+(* Supervised durable chains under one directory. compact_ratio 1e9 keeps
+   the log growing between the start and close snapshots unless a test
+   lowers it. *)
+let wal_pool_durability ~dir ?(fsync_every = 1) ?(compact_ratio = 1e9) ~seed () =
+  {
+    Serve.Pool.dir;
+    resume = false;
+    retries = 2;
+    backoff_s = 0.;
+    remake = (fun ~chain db -> pdb_over_db ~n_items:4 ~seed:(seed + chain) db);
+    policy = { Serve.Durable.fsync_every; compact_ratio };
+  }
 
-(* A crash with no checkpoint on disk yet falls back to a clean fresh
+(* A crash with no snapshot on disk yet falls back to a clean fresh
    start — still bit-identical, because nothing of the dead attempt
-   survives. *)
+   survives. The first compaction is the one inside Durable.start, so
+   "wal.compact@1" dies before the initial snapshot is written. *)
 let test_kill_before_first_checkpoint () =
   Obs.Metrics.set_enabled true;
   let dir = fresh_ckpt_dir () in
@@ -352,65 +316,24 @@ let test_kill_before_first_checkpoint () =
   @@ fun () ->
   let queries = [ (List.hd test_queries, Sql.parse (List.hd test_queries)) ] in
   let make ~chain = build_pdb ~seed:(800 + chain) () in
-  let durability =
-    {
-      Serve.Pool.dir;
-      every = 50;
-      resume = false;
-      retries = 1;
-      backoff_s = 0.;
-      remake = (fun ~chain db -> pdb_over_db ~n_items:4 ~seed:(800 + chain) db);
-      wal = None;
-    }
-  in
+  let durability = { (wal_pool_durability ~dir ~seed:800 ()) with retries = 1 } in
   let reference = Serve.Pool.evaluate ~chains:1 ~make ~queries ~thin:3 ~samples:10 () in
   let restores0 = counter_value "checkpoint.restore.count" in
-  Failpoint.arm ~name:"pool.sample" ~at:4 ();
+  let retries0 = counter_value "checkpoint.retry.count" in
+  Failpoint.arm ~name:"wal.compact" ~at:1 ();
   let survived =
     Serve.Pool.evaluate ~chains:1 ~durability ~make ~queries ~thin:3 ~samples:10 ()
   in
-  Alcotest.(check int) "no checkpoint to restore" restores0
+  Alcotest.(check int) "one supervised retry" (retries0 + 1)
+    (counter_value "checkpoint.retry.count");
+  Alcotest.(check int) "no snapshot to restore" restores0
     (counter_value "checkpoint.restore.count");
   estimates_exactly_equal "fresh-start retry" (snd (List.hd reference))
     (snd (List.hd survived))
 
-(* --resume semantics: a second process picks up the completed run's final
-   checkpoint and, asked for the same sample budget, returns immediately
-   with the identical answer. *)
-let test_resume_from_previous_process () =
-  let dir = fresh_ckpt_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let queries = List.map (fun sql -> (sql, Sql.parse sql)) test_queries in
-  let make ~chain = build_pdb ~seed:(900 + chain) () in
-  let durability =
-    {
-      Serve.Pool.dir;
-      every = 4;
-      resume = false;
-      retries = 0;
-      backoff_s = 0.;
-      remake = (fun ~chain db -> pdb_over_db ~n_items:4 ~seed:(900 + chain) db);
-      wal = None;
-    }
-  in
-  let first =
-    Serve.Pool.evaluate ~chains:1 ~durability ~make ~queries ~thin:3 ~samples:12 ()
-  in
-  (* Same dir, resume on: restores at sample 12 and has nothing left to do.
-     [make] would crash the test if called — resume must not rebuild. *)
-  let durability = { durability with resume = true } in
-  let poisoned_make ~chain:_ = Alcotest.fail "resume must not rebuild the chain" in
-  let second =
-    Serve.Pool.evaluate ~chains:1 ~durability ~make:poisoned_make ~queries ~thin:3
-      ~samples:12 ()
-  in
-  List.iter2
-    (fun (sql, m) (_, m') -> estimates_exactly_equal sql m m')
-    first second
-
 (* The retry budget is bounded: a poison chain (fails deterministically
-   every attempt at an index past the checkpoint... i.e. re-armed each
-   retry) surfaces as Job_failed with the attempt count. *)
+   every attempt at an index past the last durable point, i.e. re-armed
+   each retry) surfaces as Job_failed with the attempt count. *)
 let test_poison_chain_exhausts_retries () =
   let dir = fresh_ckpt_dir () in
   Fun.protect ~finally:(fun () ->
@@ -419,17 +342,7 @@ let test_poison_chain_exhausts_retries () =
   @@ fun () ->
   let queries = [ (List.hd test_queries, Sql.parse (List.hd test_queries)) ] in
   let make ~chain = build_pdb ~seed:(950 + chain) () in
-  let durability =
-    {
-      Serve.Pool.dir;
-      every = 2;
-      resume = false;
-      retries = 2;
-      backoff_s = 0.;
-      remake = (fun ~chain db -> pdb_over_db ~n_items:4 ~seed:(950 + chain) db);
-      wal = None;
-    }
-  in
+  let durability = wal_pool_durability ~dir ~seed:950 () in
   (* times = attempts + 1 > retry budget: every attempt dies at sample 5. *)
   Failpoint.arm ~times:3 ~name:"pool.sample" ~at:5 ();
   match
@@ -601,22 +514,12 @@ let test_wal_corruption_detected () =
     | exception Codec.Corrupt _ -> ()
   done
 
-let wal_pool_durability ~dir ?(fsync_every = 1) ?(compact_ratio = 1e9) ~seed () =
-  {
-    Serve.Pool.dir;
-    every = 0;
-    resume = false;
-    retries = 2;
-    backoff_s = 0.;
-    remake = (fun ~chain db -> pdb_over_db ~n_items:4 ~seed:(seed + chain) db);
-    wal = Some { Serve.Pool.fsync_every; compact_ratio };
-  }
-
 (* One supervised WAL run against its uninterrupted reference: kill the
    chain at a failpoint, let the supervisor restore it, and demand
    bit-identical marginals. Returns the replayed-record, bootstrap-eval,
-   and snapshot-restore counter deltas of the killed run (baselines taken
-   after the reference run, which pays its own bootstraps). *)
+   snapshot-restore, and supervised-retry counter deltas of the killed run
+   (baselines taken after the reference run, which pays its own
+   bootstraps). *)
 let check_wal_run ~seed ~durability ~arm () =
   Obs.Metrics.set_enabled true;
   Fun.protect ~finally:(fun () ->
@@ -629,6 +532,7 @@ let check_wal_run ~seed ~durability ~arm () =
   let replays0 = counter_value "wal.replay_records" in
   let bootstraps0 = counter_value "serve.bootstrap_evals" in
   let restores0 = counter_value "checkpoint.restore.count" in
+  let retries0 = counter_value "checkpoint.retry.count" in
   arm ();
   let survived =
     Serve.Pool.evaluate ~chains:1 ~durability ~make ~queries ~thin:4 ~samples:14 ()
@@ -640,7 +544,8 @@ let check_wal_run ~seed ~durability ~arm () =
     queries survived;
   ( counter_value "wal.replay_records" - replays0,
     counter_value "serve.bootstrap_evals" - bootstraps0,
-    counter_value "checkpoint.restore.count" - restores0 )
+    counter_value "checkpoint.restore.count" - restores0,
+    counter_value "checkpoint.retry.count" - retries0 )
 
 (* Kill at sample 8: the retry must replay samples 1–7 from the log (the
    snapshot only covers sample 0) and pay zero bootstrap evaluations
@@ -648,12 +553,13 @@ let check_wal_run ~seed ~durability ~arm () =
 let test_wal_kill_and_resume () =
   let dir = fresh_ckpt_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let replayed, bootstraps, restores =
+  let replayed, bootstraps, restores, retries =
     check_wal_run ~seed:760
       ~durability:(wal_pool_durability ~dir ~seed:760 ())
       ~arm:(fun () -> Failpoint.arm ~name:"pool.sample" ~at:8 ())
       ()
   in
+  Alcotest.(check int) "one supervised retry" 1 retries;
   Alcotest.(check int) "replayed the logged samples" 7 replayed;
   Alcotest.(check int) "one snapshot restore" 1 restores;
   Alcotest.(check int) "zero bootstrap evals on restore"
@@ -671,12 +577,12 @@ let test_wal_crash_mid_compaction () =
        ~durability:(wal_pool_durability ~dir ~compact_ratio:0.01 ~seed:770 ())
        ~arm:(fun () -> Failpoint.arm ~name:"wal.compact" ~at:3 ())
        ()
-      : int * int * int)
+      : int * int * int * int)
 
 let test_wal_crash_mid_rotation () =
   let dir = fresh_ckpt_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let replayed, _, restores =
+  let replayed, _, restores, _ =
     check_wal_run ~seed:780
       ~durability:(wal_pool_durability ~dir ~compact_ratio:0.01 ~seed:780 ())
       ~arm:(fun () -> Failpoint.arm ~name:"wal.rotate" ~at:2 ())
@@ -693,7 +599,7 @@ let test_wal_crash_mid_rotation () =
 let test_wal_crash_torn_append () =
   let dir = fresh_ckpt_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let replayed, _, _ =
+  let replayed, _, _, _ =
     check_wal_run ~seed:790
       ~durability:(wal_pool_durability ~dir ~seed:790 ())
       ~arm:(fun () -> Failpoint.arm ~name:"wal.torn_append" ~at:5 ())
@@ -923,12 +829,8 @@ let () =
        [ Alcotest.test_case "one-shot" `Quick test_failpoint_one_shot;
          Alcotest.test_case "env-spec" `Quick test_failpoint_env ]);
       ("supervision",
-       [ Alcotest.test_case "kill-and-resume-bit-identical" `Quick
-           test_kill_and_resume_bit_identical;
-         Alcotest.test_case "kill-before-first-checkpoint" `Quick
+       [ Alcotest.test_case "kill-before-first-checkpoint" `Quick
            test_kill_before_first_checkpoint;
-         Alcotest.test_case "resume-previous-process" `Quick
-           test_resume_from_previous_process;
          Alcotest.test_case "poison-chain" `Quick test_poison_chain_exhausts_retries ]);
       ("wal",
        [ qc prop_wal_record_roundtrip;

@@ -268,20 +268,6 @@ let test_aggregate_distribution () =
   Alcotest.(check bool) "median" true (Value.equal (Aggregate.quantile m 0.5) (Value.Int 2))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel evaluation *)
-
-let test_parallel_eval () =
-  let m =
-    Parallel_eval.evaluate ~chains:4
-      ~make:(fun ~chain ->
-        let _, _, pdb = build_graph_pdb ~seed:(1000 + chain) () in
-        pdb)
-      ~strategy:Evaluator.Materialized ~query:query_blue ~thin:5 ~samples:100 ()
-  in
-  Alcotest.(check int) "pooled samples" (4 * 101) (Marginals.samples m)
-
-
-(* ------------------------------------------------------------------ *)
 (* Confidence intervals and top-k *)
 
 let test_confidence_se () =
@@ -439,7 +425,6 @@ let () =
          Alcotest.test_case "wilson" `Quick test_confidence_wilson;
          Alcotest.test_case "coverage" `Quick test_confidence_interval_covers;
          Alcotest.test_case "top-k" `Quick test_top_k ]);
-      ("parallel", [ Alcotest.test_case "pooled" `Quick test_parallel_eval ]);
       ("adaptive", [ Alcotest.test_case "controller" `Quick test_adaptive_evaluator ]);
       ("top-k-eval",
        [ Alcotest.test_case "basic" `Quick test_topk_eval;

@@ -431,7 +431,10 @@ let test_slow_client_coalescing () =
     (Serve.Daemon.coalesced daemon > 0);
   (* The reader wakes up: ticking flushes the latched newest update, and
      the total updates delivered is strictly less than the sample count
-     (drop-oldest, never a backlog replay). *)
+     (drop-oldest, never a backlog replay). Every frame must decode
+     (next_frame fails otherwise) and updates must arrive in strictly
+     increasing sample order — a partial write that resumed at the wrong
+     offset would split, repeat, or reorder frames. *)
   let updates = ref 0 and last_sample = ref (-1) in
   for _ = 1 to 200 do
     Serve.Daemon.tick daemon ~timeout:0.;
@@ -439,6 +442,9 @@ let test_slow_client_coalescing () =
       match next_frame c with
       | None -> ()
       | Some (P.Update { sample; _ }) ->
+          if sample <= !last_sample then
+            Alcotest.failf "update for sample %d arrived after sample %d" sample
+              !last_sample;
           incr updates;
           last_sample := sample;
           count ()
@@ -446,6 +452,7 @@ let test_slow_client_coalescing () =
     in
     count ()
   done;
+  Alcotest.(check int) "no partial frame left behind" 0 (Buffer.length c.buf);
   Alcotest.(check bool) "some updates delivered" true (!updates > 0);
   Alcotest.(check bool)
     "coalescing dropped updates rather than queuing them" true

@@ -136,10 +136,10 @@ let test_unregister () =
        (Evaluator.evaluate_sql Evaluator.Materialized (build_pdb ~seed:31 ())
           ~sql:(List.nth test_queries 0) ~thin:5 ~samples:10))
 
-(* Pooling: Pool.evaluate over c chains must equal Parallel_eval.evaluate
-   per query (same per-chain seeds), since registered views are passive
-   observers of the chain. *)
-let test_pool_matches_parallel_eval () =
+(* Pooling: Pool.evaluate over c chains must equal merging, per query,
+   dedicated Evaluator runs on the same per-chain seeds, since registered
+   views are passive observers of the chain. *)
+let test_pool_matches_sequential_evaluator () =
   let make ~chain = build_pdb ~seed:(500 + chain) () in
   let queries =
     List.map (fun sql -> (sql, Sql.parse sql)) [ List.nth test_queries 0; List.nth test_queries 3 ]
@@ -150,8 +150,10 @@ let test_pool_matches_parallel_eval () =
     (fun (name, m) ->
       Alcotest.(check int) "pooled z" (3 * 41) (Marginals.samples m);
       let solo =
-        Parallel_eval.evaluate ~chains:3 ~make ~strategy:Evaluator.Materialized
-          ~query:(List.assoc name queries) ~thin:5 ~samples:40 ()
+        Marginals.merge
+          (List.init 3 (fun chain ->
+               Evaluator.evaluate Evaluator.Materialized (make ~chain)
+                 ~query:(List.assoc name queries) ~thin:5 ~samples:40))
       in
       check_estimates_equal name (Marginals.estimates m) (Marginals.estimates solo))
     results
@@ -510,7 +512,9 @@ let () =
          Alcotest.test_case "mass-registration" `Quick test_mass_registration;
          QCheck_alcotest.to_alcotest prop_sharing_bit_identical;
          Alcotest.test_case "wal-resume-shared" `Quick test_wal_resume_shared ]);
-      ("pool", [ Alcotest.test_case "matches-parallel-eval" `Quick test_pool_matches_parallel_eval ]);
+      ("pool",
+       [ Alcotest.test_case "matches-sequential-evaluator" `Quick
+           test_pool_matches_sequential_evaluator ]);
       ("shard",
        [ Alcotest.test_case "bit-identical-union" `Quick test_shard_bit_identical;
          Alcotest.test_case "bounded-divergence" `Quick test_shard_bounded_divergence ]);

@@ -64,6 +64,25 @@ echo "ci: daemon kill/resume smoke"
 # mid-stream, resumes from its WAL, and every query's frozen marginals
 # must be bit-identical to the uninterrupted twin's.
 sh tools/daemon_smoke.sh
+echo "ci: supervised durability smoke (CLI)"
+# The serve CLI's crash-and-retry path end to end: a failpoint kills the
+# chain mid-stream, the supervisor retries it from the --wal-dir state,
+# and a --resume run at the same --samples must print the identical
+# answers without sampling again. Only the timing line may differ.
+dur_tmp=$(mktemp -d)
+printf '%s\n' "SELECT STRING FROM TOKEN WHERE LABEL='B-PER'" \
+  "SELECT COUNT(*) FROM TOKEN WHERE LABEL='B-ORG'" > "$dur_tmp/q.sql"
+PDB_FAILPOINT=pool.sample@7 dune exec bin/pdb_cli.exe -- serve \
+  --queries "$dur_tmp/q.sql" --samples 20 --thin 50 --tokens 500 \
+  --wal-dir "$dur_tmp/d" > "$dur_tmp/first.txt"
+test -s "$dur_tmp/d/chain-0.ckpt"
+dune exec bin/pdb_cli.exe -- serve \
+  --queries "$dur_tmp/q.sql" --samples 20 --thin 50 --tokens 500 \
+  --wal-dir "$dur_tmp/d" --resume > "$dur_tmp/resumed.txt"
+grep -v '^served ' "$dur_tmp/first.txt" > "$dur_tmp/first.ans"
+grep -v '^served ' "$dur_tmp/resumed.txt" > "$dur_tmp/resumed.ans"
+diff "$dur_tmp/first.ans" "$dur_tmp/resumed.ans"
+rm -rf "$dur_tmp"
 echo "ci: bench gate self-test"
 # The gate must be able to reject a seeded regression before its pass on
 # the real numbers means anything.
