@@ -7,7 +7,7 @@
    checkpoint, journal writer abandoned) — the same durable state a
    SIGKILL leaves behind with fsync_every = 1; tools/daemon_smoke.sh
    does the real kill -9 through the CLI. Writes BENCH_daemon.json for
-   tools/bench_gate.sh. *)
+   the bench gate (bench/gate/gate.ml). *)
 
 let labels =
   [ "B-PER"; "I-PER"; "B-ORG"; "I-ORG"; "B-LOC"; "I-LOC"; "B-MISC"; "I-MISC" ]

@@ -427,8 +427,11 @@ let accept_clients t =
 (* ---------- sampling + updates ---------- *)
 
 let deliver_update t c sub frame =
-  if unflushed c > t.cfg.slow_client_bytes then begin
-    (* Slow reader: coalesce drop-oldest into the one-slot latch. *)
+  if unflushed c > t.cfg.slow_client_bytes || Option.is_some sub.pending then begin
+    (* Slow reader: coalesce drop-oldest into the one-slot latch. While an
+       older frame is latched, a newer one must not overtake it in
+       [outbuf]: [flush_client] promotes the latch only once the buffer
+       drains, which would deliver the older sample last. *)
     (match sub.pending with
     | Some _ ->
         t.coalesced <- t.coalesced + 1;

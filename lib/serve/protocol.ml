@@ -1,11 +1,10 @@
 (* Line-delimited JSON codec for the daemon protocol (docs/SERVER.md).
 
-   Emission reuses Obs.Jsonx (which already prints floats as %.17g, the
-   round-trip-exact form the bit-identical smoke comparison relies on);
-   parsing is a ~100-line recursive-descent JSON reader kept here so the
-   serving stack stays stdlib-only. The parser accepts exactly the JSON
-   the encoder emits plus insignificant whitespace — numbers, strings
-   with the standard escapes, arrays, objects, true/false/null. *)
+   Obs.Jsonx both emits frames (floats as %.17g, the round-trip-exact form
+   the bit-identical smoke comparison relies on) and parses them; this
+   module only maps parsed values to typed requests and responses. A line
+   that is not JSON is a [Parse] error, JSON of the wrong shape a
+   [Bad_request]. *)
 
 type error_code =
   | Parse
@@ -70,212 +69,29 @@ type response =
   | Error of { code : error_code; msg : string }
   | Bye
 
-(* ---------- JSON values ---------- *)
+(* ---------- field accessors ---------- *)
 
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
-
+(* A well-formed frame of the wrong shape: answered as [Bad_request]. *)
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-(* ---------- parser ---------- *)
-
-type cursor = { s : string; mutable pos : int }
-
-let peek c = if c.pos < String.length c.s then Some c.s.[c.pos] else None
-
-let advance c = c.pos <- c.pos + 1
-
-let skip_ws c =
-  let rec go () =
-    match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance c;
-        go ()
-    | _ -> ()
-  in
-  go ()
-
-let expect c ch =
-  match peek c with
-  | Some x when Char.equal x ch -> advance c
-  | Some x -> bad "expected %C at offset %d, found %C" ch c.pos x
-  | None -> bad "expected %C at offset %d, found end of input" ch c.pos
-
-let parse_literal c lit value =
-  let n = String.length lit in
-  if c.pos + n <= String.length c.s && String.equal (String.sub c.s c.pos n) lit then begin
-    c.pos <- c.pos + n;
-    value
-  end
-  else bad "invalid literal at offset %d" c.pos
-
-let parse_string c =
-  expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> bad "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' -> (
-        advance c;
-        match peek c with
-        | None -> bad "unterminated escape"
-        | Some ch ->
-            advance c;
-            (match ch with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'u' ->
-                if c.pos + 4 > String.length c.s then bad "truncated \\u escape";
-                let hex = String.sub c.s c.pos 4 in
-                let code =
-                  try int_of_string ("0x" ^ hex)
-                  with Failure _ -> bad "invalid \\u escape %S" hex
-                in
-                c.pos <- c.pos + 4;
-                (* The encoder only \u-escapes control characters; anything
-                   in the BMP is decoded as UTF-8 so foreign frames stay
-                   readable. *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-            | _ -> bad "invalid escape \\%C" ch);
-            go ())
-    | Some ch ->
-        advance c;
-        Buffer.add_char buf ch;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number c =
-  let start = c.pos in
-  let rec go () =
-    match peek c with
-    | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-        advance c;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  if Int.equal start c.pos then bad "expected a number at offset %d" start;
-  let text = String.sub c.s start (c.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> f
-  | None -> bad "invalid number %S" text
-
-let rec parse_value c =
-  skip_ws c;
-  match peek c with
-  | None -> bad "unexpected end of input"
-  | Some '{' ->
-      advance c;
-      skip_ws c;
-      if (match peek c with Some '}' -> true | _ -> false) then begin
-        advance c;
-        J_obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws c;
-          let k = parse_string c in
-          skip_ws c;
-          expect c ':';
-          let v = parse_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              fields ((k, v) :: acc)
-          | Some '}' ->
-              advance c;
-              List.rev ((k, v) :: acc)
-          | _ -> bad "expected ',' or '}' at offset %d" c.pos
-        in
-        J_obj (fields [])
-      end
-  | Some '[' ->
-      advance c;
-      skip_ws c;
-      if (match peek c with Some ']' -> true | _ -> false) then begin
-        advance c;
-        J_arr []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              items (v :: acc)
-          | Some ']' ->
-              advance c;
-              List.rev (v :: acc)
-          | _ -> bad "expected ',' or ']' at offset %d" c.pos
-        in
-        J_arr (items [])
-      end
-  | Some '"' -> J_str (parse_string c)
-  | Some 't' -> parse_literal c "true" (J_bool true)
-  | Some 'f' -> parse_literal c "false" (J_bool false)
-  | Some 'n' -> parse_literal c "null" J_null
-  | Some _ -> J_num (parse_number c)
-
-let parse_json line =
-  let c = { s = line; pos = 0 } in
-  let v = parse_value c in
-  skip_ws c;
-  if c.pos < String.length line then bad "trailing bytes at offset %d" c.pos;
-  v
-
-(* ---------- field accessors ---------- *)
-
-let field obj name =
-  match obj with
-  | J_obj fields -> (
-      match List.find_opt (fun (k, _) -> String.equal k name) fields with
-      | Some (_, v) -> Some v
-      | None -> None)
-  | _ -> None
-
 let req_field obj name =
-  match field obj name with
+  match Obs.Jsonx.field obj name with
   | Some v -> v
   | None -> bad "missing field %S" name
 
 let as_string name = function
-  | J_str s -> s
+  | Obs.Jsonx.Str s -> s
   | _ -> bad "field %S must be a string" name
 
 let as_int name = function
-  | J_num f ->
+  | Obs.Jsonx.Num f ->
       let i = int_of_float f in
       if Float.equal (float_of_int i) f then i else bad "field %S must be an integer" name
   | _ -> bad "field %S must be a number" name
 
-let as_float name = function J_num f -> f | _ -> bad "field %S must be a number" name
+let as_float name = function Obs.Jsonx.Num f -> f | _ -> bad "field %S must be a number" name
 
 (* ---------- requests ---------- *)
 
@@ -304,8 +120,8 @@ let encode_request req =
   | Shutdown -> obj_sorted [ ("op", str "shutdown") ]
 
 let decode_request line =
-  match parse_json line with
-  | exception Bad msg -> Result.Error (Parse, msg)
+  match Obs.Jsonx.parse line with
+  | exception Obs.Jsonx.Parse_error msg -> Result.Error (Parse, msg)
   | j -> (
       try
         match as_string "op" (req_field j "op") with
@@ -315,7 +131,7 @@ let decode_request line =
                  {
                    sql = as_string "sql" (req_field j "sql");
                    name =
-                     (match field j "name" with
+                     (match Obs.Jsonx.field j "name" with
                      | None -> None
                      | Some n -> Some (as_string "name" n));
                  })
@@ -325,7 +141,7 @@ let decode_request line =
                  {
                    query = as_int "query" (req_field j "query");
                    every =
-                     (match field j "every" with
+                     (match Obs.Jsonx.field j "every" with
                      | None -> 0
                      | Some e -> as_int "every" e);
                  })
@@ -345,10 +161,10 @@ let encode_estimates es =
     (List.map (fun (row, p) -> Obs.Jsonx.arr [ Obs.Jsonx.str row; Obs.Jsonx.float p ]) es)
 
 let decode_estimates name = function
-  | J_arr items ->
+  | Obs.Jsonx.Arr items ->
       List.map
         (function
-          | J_arr [ row; p ] -> (as_string name row, as_float name p)
+          | Obs.Jsonx.Arr [ row; p ] -> (as_string name row, as_float name p)
           | _ -> bad "field %S must hold [row, probability] pairs" name)
         items
   | _ -> bad "field %S must be an array" name
@@ -389,10 +205,10 @@ let encode_response resp =
   | Bye -> obj_sorted [ ("type", str "bye") ]
 
 let decode_response line =
-  match parse_json line with
-  | exception Bad msg -> Result.Error msg
+  match Obs.Jsonx.parse line with
+  | exception Obs.Jsonx.Parse_error msg -> Result.Error msg
   | j -> (
-      match field j "type" with
+      match Obs.Jsonx.field j "type" with
       | None -> Result.Error "missing field \"type\""
       | Some ty -> (
           match as_string "type" ty with
@@ -445,10 +261,10 @@ let decode_response line =
                     Result.Ok
                       (Queries_reply
                          (match req_field j "queries" with
-                         | J_arr items ->
+                         | Obs.Jsonx.Arr items ->
                              List.map
                                (function
-                                 | J_arr [ id; n ] ->
+                                 | Obs.Jsonx.Arr [ id; n ] ->
                                      (as_int "queries" id, as_string "queries" n)
                                  | _ -> bad "field \"queries\" must hold [id, name] pairs")
                                items

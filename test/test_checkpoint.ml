@@ -684,7 +684,7 @@ let test_wal_register_replay () =
 (* The point of the log: per-sample durable bytes are small against the
    snapshot the old path rewrote every period (the paper's |Δ| ≪ |D|,
    applied to disk). The paper-scale version of this assertion lives in
-   the wal bench + tools/bench_gate.sh floors. *)
+   the wal bench + the bench gate's floors (bench/gate/gate.ml). *)
 let test_wal_write_amplification () =
   let dir = fresh_ckpt_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->

@@ -1,5 +1,6 @@
 (* Tests for the query daemon: the wire codec must be an exact inverse
-   pair (including error frames — qcheck), admission control must reject
+   pair (including error frames — qcheck) and must never raise on mutated,
+   truncated or megabyte-long lines, admission control must reject
    with typed errors rather than queue, a slow client must coalesce
    updates without stalling the sampling loop, and the convergence-aware
    scheduler must read degenerate diagnostics (nan R̂, zero ESS, short or
@@ -87,6 +88,69 @@ let prop_response_roundtrip =
       | Result.Ok r' -> String.equal (P.encode_response r') (P.encode_response r)
       | Result.Error msg ->
           QCheck.Test.fail_reportf "decode failed on own encoding: %s" msg)
+
+(* ---------------------------------------------------------------- *)
+(* Fuzz: the reader and the decoders are total                      *)
+(* ---------------------------------------------------------------- *)
+
+(* Parsing may fail only with Jsonx's own exception, and the decoders
+   never raise: a hostile line gets an error frame, not a dead daemon. *)
+let total line =
+  (match Obs.Jsonx.parse line with
+  | _ -> ()
+  | exception Obs.Jsonx.Parse_error _ -> ());
+  ignore (P.decode_request line : (P.request, P.error_code * string) result);
+  ignore (P.decode_response line : (P.response, string) result);
+  true
+
+let gen_frame =
+  QCheck.Gen.(oneof [ map P.encode_request gen_request; map P.encode_response gen_response ])
+
+(* Overwrite, delete or insert a byte at [pos], or cut the line there. *)
+let edit line (kind, pos, ch) =
+  let n = String.length line in
+  let i = if n = 0 then 0 else pos mod n in
+  match kind with
+  | 0 when n > 0 -> String.mapi (fun j c -> if j = i then ch else c) line
+  | 1 when n > 0 -> String.sub line 0 i ^ String.sub line (i + 1) (n - i - 1)
+  | 2 -> String.sub line 0 i ^ String.make 1 ch ^ String.sub line i (n - i)
+  | _ -> String.sub line 0 i
+
+let gen_mutated =
+  let significant =
+    [ '{'; '}'; '['; ']'; '"'; '\\'; ','; ':'; '0'; '1'; '-'; '+'; '.'; 'e'; 'u'; 'd'; ' ';
+      '\000'; '\255' ]
+  in
+  QCheck.Gen.(
+    pair gen_frame (list_size (int_range 1 4) (triple (int_bound 3) nat (oneofl significant)))
+    >|= fun (frame, edits) -> List.fold_left edit frame edits)
+
+let prop_fuzz_mutated =
+  QCheck.Test.make ~name:"protocol: mutated frames never raise" ~count:2000
+    (QCheck.make gen_mutated ~print:Fun.id)
+    total
+
+(* Quadratic in the frame length, so frames stay under 1 KB. *)
+let prop_fuzz_truncated =
+  QCheck.Test.make ~name:"protocol: every truncation of a frame is handled" ~count:200
+    (QCheck.make gen_frame ~print:Fun.id)
+    (fun frame ->
+      QCheck.assume (String.length frame <= 1024);
+      List.for_all (fun i -> total (String.sub frame 0 i)) (List.init (String.length frame) Fun.id))
+
+let test_megabyte_lines () =
+  let sql = String.make 1_000_000 'a' in
+  (match P.decode_request (P.encode_request (P.Register { sql; name = None })) with
+  | Result.Ok (P.Register { sql = sql'; _ }) ->
+      Alcotest.(check bool) "1 MB string survives" true (String.equal sql sql')
+  | _ -> Alcotest.fail "1 MB register frame did not decode");
+  let nested = String.make 1_000_000 '[' in
+  (match P.decode_request nested with
+  | Result.Error (P.Parse, _) -> ()
+  | _ -> Alcotest.fail "1 MB of [ should be a parse error");
+  match P.decode_response nested with
+  | Result.Error _ -> ()
+  | Result.Ok _ -> Alcotest.fail "1 MB of [ decoded as a response"
 
 let test_decode_classification () =
   (* Not JSON at all: the daemon must answer with a [parse] error. *)
@@ -257,19 +321,22 @@ let send c req =
   let line = P.encode_request req ^ "\n" in
   ignore (Unix.write_substring c.fd line 0 (String.length line))
 
-let drain c =
+(* Read what the socket holds — at most [max] bytes, to model a reader
+   that drains in small bursts — and split off the complete lines. *)
+let drain ?(max = max_int) c =
   let chunk = Bytes.create 4096 in
-  let rec read_all () =
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes c.buf chunk 0 n;
-        read_all ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
+  let rec read_some left =
+    if left > 0 then
+      match Unix.read c.fd chunk 0 (min left (Bytes.length chunk)) with
+      | 0 -> ()
+      | n ->
+          Buffer.add_subbytes c.buf chunk 0 n;
+          read_some (left - n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          ()
   in
-  read_all ();
+  read_some max;
   let s = Buffer.contents c.buf in
   let n = String.length s in
   let rec split pos acc =
@@ -282,8 +349,8 @@ let drain c =
   Buffer.add_substring c.buf s rest (n - rest);
   c.lines <- c.lines @ complete
 
-let next_frame c =
-  drain c;
+let next_frame ?max c =
+  drain ?max c;
   match c.lines with
   | [] -> None
   | line :: rest -> (
@@ -385,18 +452,18 @@ let test_client_cap_rejection () =
   Serve.Daemon.close daemon;
   if Sys.file_exists path then Sys.remove path
 
-let test_slow_client_coalescing () =
+(* A daemon streaming every sample of [labels] to one client whose
+   socket buffer is kilobyte-scale, so a reader that falls behind becomes
+   slow after a couple of frames instead of after ~200 KiB. *)
+let slow_stream ?(slow_client_bytes = 512) ~samples labels =
   let path = fresh_socket_path () in
-  let samples = 60 in
   let cfg =
     { (Serve.Daemon.default_config ~socket_path:path) with
       Serve.Daemon.thin = 1;
       max_samples = samples;
-      await_queries = 1;
-      (* Kilobyte-scale socket buffer so a sleeping reader becomes slow
-         after a couple of frames instead of after ~200 KiB. *)
+      await_queries = List.length labels;
       sndbuf_bytes = 2 * 1024;
-      slow_client_bytes = 512 }
+      slow_client_bytes }
   in
   (* Enough tokens that a dense update stream overruns the kernel's
      minimum socket buffer within a few samples. *)
@@ -405,15 +472,46 @@ let test_slow_client_coalescing () =
       (Serve.Registry.create (make_pdb ~n_tokens:200 ~thin:1 ()))
   in
   let c = connect path in
-  let q =
-    rpc daemon c
-      (P.Register { sql = sql_for "B-PER"; name = Some "q" })
-      (function P.Registered { query; _ } -> Some query | _ -> None)
+  List.iter
+    (fun lbl ->
+      let q =
+        rpc daemon c
+          (P.Register { sql = sql_for lbl; name = Some lbl })
+          (function P.Registered { query; _ } -> Some query | _ -> None)
+      in
+      ignore
+        (rpc daemon c
+           (P.Stream { query = q; every = 1 })
+           (function P.Streaming { query; _ } when query = q -> Some () | _ -> None)))
+    labels;
+  (path, daemon, c)
+
+(* Read at most [max] new bytes, then consume every complete frame,
+   failing unless each query's updates arrive in strictly increasing
+   sample order. [last] maps query id to its newest sample seen. *)
+let check_update_order ?(max = max_int) c last =
+  let rec go max =
+    match next_frame ~max c with
+    | None -> ()
+    | Some (P.Update { query; sample; _ }) ->
+        let prev = Option.value ~default:(-1) (List.assoc_opt query !last) in
+        if sample <= prev then
+          Alcotest.failf "query %d: update for sample %d arrived after sample %d" query
+            sample prev;
+        last := (query, sample) :: List.remove_assoc query !last;
+        go 0
+    | Some _ -> go 0
   in
-  ignore
-    (rpc daemon c
-       (P.Stream { query = q; every = 1 })
-       (function P.Streaming _ -> Some () | _ -> None));
+  go max
+
+let close_stream (path, daemon, c) =
+  disconnect c;
+  Serve.Daemon.close daemon;
+  if Sys.file_exists path then Sys.remove path
+
+let test_slow_client_coalescing () =
+  let samples = 60 in
+  let ((_, daemon, c) as stream) = slow_stream ~samples [ "B-PER" ] in
   (* The reader now goes to sleep: no reads while the chain runs. The
      sampling loop must reach max_samples in a bounded number of ticks —
      a loop that blocked on the stuffed socket would never get there. *)
@@ -458,41 +556,49 @@ let test_slow_client_coalescing () =
     "coalescing dropped updates rather than queuing them" true
     (!updates < samples);
   Alcotest.(check int) "the newest update wins" samples !last_sample;
-  disconnect c;
-  Serve.Daemon.close daemon;
-  if Sys.file_exists path then Sys.remove path
+  close_stream stream;
+  (* A reader that drains in small bursts keeps the backlog hovering
+     around the slow-client threshold: partial writes of the kilobyte
+     frames of label O leave a few hundred bytes unsent while an older
+     update is latched, so the next update arrives with a frame already
+     pending. Every seventh tick the reader catches up completely and the
+     flush reaches an empty buffer. The latched frame must never be
+     delivered after a newer one: every query's samples strictly
+     increase. *)
+  let ((_, daemon, c) as stream) =
+    slow_stream ~slow_client_bytes:2048 ~samples [ "B-PER"; "O" ]
+  in
+  let last = ref [] in
+  let ticks = ref 0 in
+  while Serve.Daemon.samples daemon < samples && !ticks < 10_000 do
+    Serve.Daemon.tick daemon ~timeout:0.;
+    check_update_order ~max:(if !ticks mod 7 = 6 then max_int else 512) c last;
+    incr ticks
+  done;
+  for _ = 1 to 200 do
+    Serve.Daemon.tick daemon ~timeout:0.;
+    check_update_order c last
+  done;
+  Alcotest.(check bool)
+    "bursty reader coalesced" true
+    (Serve.Daemon.coalesced daemon > 0);
+  List.iter
+    (fun (q, s) ->
+      Alcotest.(check int) (Printf.sprintf "query %d ends on the newest update" q) samples s)
+    !last;
+  Alcotest.(check int) "both queries delivered" 2 (List.length !last);
+  close_stream stream
 
 
 (* ---------------------------------------------------------------- *)
 (* Serialization determinism (lint rule R8)                         *)
 (* ---------------------------------------------------------------- *)
 
-(* Top-level object keys of a compact one-line JSON frame, in wire
-   order. Depth-1 scan: Jsonx emits no whitespace, so a key is a string
-   literal at depth 1 immediately followed by ':'. *)
+(* Top-level object keys of a one-line JSON frame, in wire order. *)
 let toplevel_keys s =
-  let n = String.length s in
-  let keys = ref [] in
-  let depth = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '{' | '[' -> incr depth
-    | '}' | ']' -> decr depth
-    | '"' ->
-        let start = !i + 1 in
-        let j = ref start in
-        while !j < n && s.[!j] <> '"' do
-          if s.[!j] = '\\' then incr j;
-          incr j
-        done;
-        if !depth = 1 && !j + 1 < n && s.[!j + 1] = ':' then
-          keys := String.sub s start (!j - start) :: !keys;
-        i := !j
-    | _ -> ());
-    incr i
-  done;
-  List.rev !keys
+  match Obs.Jsonx.parse s with
+  | Obs.Jsonx.Obj fields -> List.map fst fields
+  | _ -> Alcotest.failf "frame is not an object: %s" s
 
 (* Every frame of every request/response shape serializes its fields in
    ascending key order: byte-identical output no matter how the record
@@ -677,6 +783,9 @@ let () =
     [ ( "protocol",
         [ QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_response_roundtrip;
+          QCheck_alcotest.to_alcotest prop_fuzz_mutated;
+          QCheck_alcotest.to_alcotest prop_fuzz_truncated;
+          Alcotest.test_case "1 MB lines" `Quick test_megabyte_lines;
           Alcotest.test_case "decode classification" `Quick test_decode_classification;
           Alcotest.test_case "error-code strings" `Quick test_error_code_strings;
           Alcotest.test_case "frames serialize with key-sorted fields" `Quick

@@ -181,9 +181,13 @@ let test_trace_ring () =
       Alcotest.(check int) "sink saw every event" 6 (List.length !seen);
       Obs.Trace.set_sink Obs.Trace.Null;
       let e = List.hd (Obs.Trace.recent ()) in
-      Alcotest.(check bool) "event renders as json" true
-        (String.length (Obs.Trace.to_json e) > 0
-        && String.get (Obs.Trace.to_json e) 0 = '{');
+      (match Obs.Jsonx.parse (Obs.Trace.to_json e) with
+      | Obs.Jsonx.Obj
+          [ ("ts_ns", Obs.Jsonx.Num _);
+            ("name", Obs.Jsonx.Str "t.event");
+            ("args", Obs.Jsonx.Obj [ ("i", Obs.Jsonx.Str "3") ]) ] ->
+        ()
+      | _ -> Alcotest.fail "trace event does not parse back to its fields");
       Obs.Trace.clear ();
       Alcotest.(check int) "clear empties the ring" 0 (List.length (Obs.Trace.recent ())))
 
@@ -198,23 +202,72 @@ let test_snapshot_json () =
   Obs.Metrics.add (Obs.Metrics.counter ~reg "eval.maintain_ns") 10_000;
   Obs.Metrics.add (Obs.Metrics.counter ~reg "eval.maintain_count") 10;
   Obs.Metrics.observe (Obs.Metrics.histogram ~reg "h \"quoted\"") 3;
-  let json = Obs.Snapshot.to_json ~meta:[ ("cmd", "test") ] reg in
-  let contains needle =
-    let n = String.length needle and m = String.length json in
-    let rec go i = i + n <= m && (String.sub json i n = needle || go (i + 1)) in
-    go 0
+  let json = Obs.Jsonx.parse (Obs.Snapshot.to_json ~meta:[ ("cmd", "test") ] reg) in
+  let at path =
+    List.fold_left (fun v k -> Option.bind v (fun v -> Obs.Jsonx.field v k)) (Some json) path
   in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "snapshot contains %s" needle)
-        true (contains needle))
-    [ "\"eval.full_query_ns\":1000000";
-      "\"eval.materialized_speedup\":100";
-      "\"h \\\"quoted\\\"\"";
-      "\"cmd\":\"test\"" ];
+  Alcotest.(check bool) "counter" true
+    (at [ "metrics"; "eval.full_query_ns" ] = Some (Obs.Jsonx.Num 1_000_000.));
+  Alcotest.(check bool) "derived speedup field" true
+    (at [ "derived"; "eval.materialized_speedup" ] = Some (Obs.Jsonx.Num 100.));
+  Alcotest.(check bool) "quoted histogram name round-trips" true
+    (at [ "metrics"; "h \"quoted\""; "count" ] = Some (Obs.Jsonx.Num 1.));
+  Alcotest.(check bool) "meta" true (at [ "meta"; "cmd" ] = Some (Obs.Jsonx.Str "test"));
   let speedup = List.assoc "eval.materialized_speedup" (Obs.Snapshot.derived reg) in
   Alcotest.(check (float 1e-9)) "derived speedup" 100. speedup
+
+(* ------------------------------------------------------------------ *)
+(* Jsonx: the reader inverts the writer and follows RFC 8259 *)
+
+let gen_json =
+  let open QCheck.Gen in
+  (* Control characters, quotes, backslashes and high bytes, which the
+     writer escapes or passes through. *)
+  let text =
+    string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\000'; '\031' ] ]) (int_bound 12)
+  in
+  let number =
+    oneof
+      [ map float_of_int int;
+        map (fun x -> if Float.is_finite x then x else 0.) float;
+        map (fun x -> x /. 1000.) (float_bound_inclusive 1000.) ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [ return Obs.Jsonx.Null;
+               map (fun b -> Obs.Jsonx.Bool b) bool;
+               map (fun x -> Obs.Jsonx.Num x) number;
+               map (fun s -> Obs.Jsonx.Str s) text ]
+         in
+         if depth = 0 then leaf
+         else
+           oneof
+             [ leaf;
+               map (fun l -> Obs.Jsonx.Arr l) (list_size (int_bound 4) (self (depth - 1)));
+               map
+                 (fun l -> Obs.Jsonx.Obj l)
+                 (list_size (int_bound 4) (pair text (self (depth - 1)))) ])
+
+let prop_jsonx_roundtrip =
+  QCheck.Test.make ~name:"jsonx: parse (to_string v) = v" ~count:500
+    (QCheck.make gen_json ~print:Obs.Jsonx.to_string)
+    (fun v -> Obs.Jsonx.parse (Obs.Jsonx.to_string v) = v)
+
+let rejects input () =
+  match Obs.Jsonx.parse input with
+  | v -> Alcotest.failf "accepted %S as %s" input (Obs.Jsonx.to_string v)
+  | exception Obs.Jsonx.Parse_error _ -> ()
+
+let test_surrogate_pair () =
+  Alcotest.(check bool) "U+1F600 decodes to its 4-byte UTF-8" true
+    (Obs.Jsonx.parse {|"\ud83d\ude00"|} = Obs.Jsonx.Str "\xF0\x9F\x98\x80")
+
+let test_lone_surrogates () =
+  List.iter
+    (fun s -> rejects s ())
+    [ {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|}; {|"\ude00"|} ]
 
 (* ------------------------------------------------------------------ *)
 (* Regression: view maintenance consumes deltas far smaller than the table
@@ -315,6 +368,15 @@ let () =
             test_timer_monotonic_across_domains ] );
       ("trace", [ Alcotest.test_case "ring and sinks" `Quick test_trace_ring ]);
       ("snapshot", [ Alcotest.test_case "json shape" `Quick test_snapshot_json ]);
+      ( "jsonx",
+        [ QCheck_alcotest.to_alcotest prop_jsonx_roundtrip;
+          Alcotest.test_case "surrogate pair" `Quick test_surrogate_pair;
+          Alcotest.test_case "lone surrogate" `Quick test_lone_surrogates;
+          Alcotest.test_case "underscore in \\u escape" `Quick (rejects {|"\u00_4"|});
+          Alcotest.test_case "leading plus" `Quick (rejects "+1");
+          Alcotest.test_case "leading zero" `Quick (rejects "01");
+          Alcotest.test_case "bare fraction" `Quick (rejects ".5");
+          Alcotest.test_case "overflow to infinity" `Quick (rejects "1e400") ] );
       ( "regression",
         [ Alcotest.test_case "delta_rows ≪ table_rows on NER workload" `Quick
             test_delta_rows_much_smaller_than_table ] ) ]

@@ -11,7 +11,7 @@ dune runtest
 echo "ci: pdb_lint self-test"
 # The linter must be able to catch a seeded violation of every rule before
 # its clean pass on the real tree means anything (same contract as the
-# bench gate's self-test below).
+# bench gate's self-test, test/test_gate.ml, which dune runtest ran).
 dune exec tools/lint/pdb_lint.exe -- --self-test
 echo "ci: pdb_lint"
 # Reports land under _build/ (untracked, wiped by dune clean): the JSON
@@ -83,12 +83,10 @@ grep -v '^served ' "$dur_tmp/first.txt" > "$dur_tmp/first.ans"
 grep -v '^served ' "$dur_tmp/resumed.txt" > "$dur_tmp/resumed.ans"
 diff "$dur_tmp/first.ans" "$dur_tmp/resumed.ans"
 rm -rf "$dur_tmp"
-echo "ci: bench gate self-test"
-# The gate must be able to reject a seeded regression before its pass on
-# the real numbers means anything.
-sh tools/bench_gate.sh --self-test
 echo "ci: bench gate"
-sh tools/bench_gate.sh
+# The floors and ceilings declared in bench/gate/gate.ml, over the
+# BENCH_*.json regenerated above.
+dune exec bench/gate/bench_gate.exe
 echo "ci: doc check"
 sh tools/check_doc.sh
 echo "ci: OK"
