@@ -3,10 +3,10 @@
    ground-truth estimation.
 
    Timing goes through lib/obs: the per-call walk/query spans printed by the
-   experiments are measured with Obs.Timer, and when metrics collection is
-   on (bench/main.exe --metrics-out) the same spans also feed the shared
-   "eval.*" counters that Core.Evaluator uses, so a snapshot covers runs
-   driven by this harness's stopping rule too. *)
+   experiments are measured with Obs.Timer. Query evaluation steps through
+   Core.Evaluator.start/observe, so when metrics collection is on
+   (bench/main.exe --metrics-out) the "eval.*" counters cover runs driven
+   by this harness's stopping rule too. *)
 
 open Core
 
@@ -60,84 +60,30 @@ type timed_run = {
   final_error : float;
 }
 
-(* Instrumented evaluation: like Evaluator.evaluate but separately accounting
+(* Instrumented evaluation: Evaluator's sample step, separately accounting
    walk and query time, and stopping once the squared error against [truth]
    halves (or [max_samples] is reached). *)
-let m_full_query_count = Obs.Metrics.counter "eval.full_query_count"
-let m_full_query_ns = Obs.Metrics.counter "eval.full_query_ns"
-let m_maintain_count = Obs.Metrics.counter "eval.maintain_count"
-let m_maintain_ns = Obs.Metrics.counter "eval.maintain_ns"
-let m_view_build_ns = Obs.Metrics.counter "eval.view_build_ns"
-let m_delta_rows = Obs.Metrics.counter "eval.delta_rows"
-let m_delta_size = Obs.Metrics.histogram "eval.delta_size"
-let m_samples = Obs.Metrics.counter "eval.samples"
 let m_walk_ns = Obs.Metrics.counter "harness.walk_ns"
 
-let record_delta d =
-  if Obs.Metrics.enabled () then begin
-    let rows = Relational.Delta.total_magnitude d in
-    Obs.Metrics.add m_delta_rows rows;
-    Obs.Metrics.observe m_delta_size rows
-  end
-
 let run_until_half_error strategy inst ~query ~thin ~truth ~max_samples =
-  let world = Pdb.world inst.pdb in
-  let db = Pdb.db inst.pdb in
-  let marginals = Marginals.create () in
   let walk_ns = ref 0 and query_ns = ref 0 in
-  (* Accumulate the span into a local total (for this run's report) and,
-     when collection is on, into the shared metric [c]. *)
-  let timed acc c f =
+  let timed acc f =
     let t0 = Obs.Timer.start () in
     let x = f () in
-    let dt = Obs.Timer.elapsed_ns t0 in
-    acc := !acc + dt;
-    Obs.Metrics.add c dt;
+    acc := !acc + Obs.Timer.elapsed_ns t0;
     x
   in
-  ignore (World.drain_delta world : Relational.Delta.t);
-  let view = ref None in
-  let observe () =
-    Obs.Metrics.incr m_samples;
-    match strategy with
-    | Evaluator.Naive ->
-      record_delta (World.drain_delta world);
-      let bag =
-        timed query_ns m_full_query_ns (fun () ->
-            (Relational.Eval.eval db query).Relational.Eval.bag)
-      in
-      Obs.Metrics.incr m_full_query_count;
-      Marginals.observe marginals bag
-    | Evaluator.Materialized ->
-      let bag =
-        match !view with
-        | None ->
-          timed query_ns m_view_build_ns (fun () ->
-              let v = Relational.View.create db query in
-              view := Some v;
-              Relational.View.result v)
-        | Some v ->
-          let delta = World.drain_delta world in
-          record_delta delta;
-          let bag =
-            timed query_ns m_maintain_ns (fun () ->
-                Relational.View.update v delta;
-                Relational.View.result v)
-          in
-          Obs.Metrics.incr m_maintain_count;
-          bag
-      in
-      Marginals.observe marginals bag
-  in
   let started = Obs.Timer.start () in
-  observe ();
+  let run = timed query_ns (fun () -> Evaluator.start strategy inst.pdb ~query) in
+  let marginals = Evaluator.marginals run in
   let initial_error = Marginals.squared_error_to ~reference:truth marginals in
   let threshold = initial_error /. 2. in
   let err = ref initial_error in
   let samples = ref 0 in
   while !err > threshold && !samples < max_samples do
-    timed walk_ns m_walk_ns (fun () -> Pdb.walk inst.pdb ~steps:thin);
-    observe ();
+    timed walk_ns (fun () ->
+        Obs.Timer.record m_walk_ns (fun () -> Pdb.walk inst.pdb ~steps:thin));
+    timed query_ns (fun () -> Evaluator.observe run);
     incr samples;
     err := Marginals.squared_error_to ~reference:truth marginals
   done;

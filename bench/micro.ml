@@ -451,10 +451,7 @@ let wal_compare ~n_tokens ~thin ~samples ~fsync_every =
   let dur = Serve.Durable.start ~snap_path ~wal_path policy reg in
   let header_bytes = String.length (Checkpoint.Wal.header ~base_samples:0) in
   let t0 = Obs.Timer.start () in
-  for _ = 1 to samples do
-    Serve.Registry.step reg ~thin;
-    Serve.Durable.after_sample dur
-  done;
+  Serve.Registry.run reg ~thin ~samples;
   let wal_sample_ns = Obs.Timer.elapsed_ns t0 / samples in
   let bytes_per_sample =
     float_of_int (Serve.Durable.wal_bytes dur - header_bytes) /. float_of_int samples
@@ -468,22 +465,16 @@ let wal_compare ~n_tokens ~thin ~samples ~fsync_every =
     Serve.Registry.create (wal_instance ~corpus_seed:320 ~chain_seed:11 ~thin ~n_tokens)
   in
   wal_register_all reg2;
-  let dur2 =
+  let (_ : Serve.Durable.t) =
     Serve.Durable.start ~snap_path ~wal_path { policy with fsync_every = 1 } reg2
   in
-  for _ = 1 to samples / 2 do
-    Serve.Registry.step reg2 ~thin;
-    Serve.Durable.after_sample dur2
-  done;
-  (* The crash: drop [dur2] without closing it. *)
+  Serve.Registry.run reg2 ~thin ~samples:(samples / 2);
+  (* The crash: the durable handle above is dropped without closing it. *)
   let t0 = Obs.Timer.start () in
   let dur3 = Serve.Durable.resume ~snap_path ~wal_path policy ~make_pdb in
   let replay_ns = Obs.Timer.elapsed_ns t0 in
   let reg3 = Serve.Durable.registry dur3 in
-  for _ = Serve.Registry.samples reg3 + 1 to samples do
-    Serve.Registry.step reg3 ~thin;
-    Serve.Durable.after_sample dur3
-  done;
+  Serve.Registry.run reg3 ~thin ~samples:(samples - Serve.Registry.samples reg3);
   Serve.Durable.close dur3;
   let crash_equal = wal_marginals_equal reference (wal_marginals reg3) in
   (sample_ns, wal_sample_ns, bytes_per_sample, snapshot_bytes, replay_ns, live_equal,

@@ -151,23 +151,34 @@ let top_arg =
 (* Build the NER chain (world, CRF model, proposal, RNG) over an existing
    TOKEN database. [chain] offsets the RNG seed so parallel chains get
    distinct streams over the identical initial world. This is also the
-   [remake] constructor checkpoint restoration needs: the CRF reads the
+   [remake]/[make_pdb] constructor restoration needs: the CRF reads the
    current labels out of [db] at creation, so building over a restored
-   database leaves model and world consistent. *)
-let ner_pdb_of_db ~seed ~chain db =
+   database leaves model and world consistent.
+
+   The batched proposal keeps a cursor (current document batch, proposals
+   remaining) that no snapshot or log record captures; a batch of [thin]
+   proposals makes batch reloads land exactly on sample boundaries —
+   where snapshots are taken and WAL replay resumes — so a resumed or
+   retried chain is sample-path identical to an uninterrupted one
+   (tools/durability_smoke.sh and tools/daemon_smoke.sh diff exactly
+   that). *)
+let ner_pdb_of_db ~seed ~thin ~chain db =
   let world = Core.World.create db in
   let crf = Ie.Crf.create ~params:(Ie.Crf.default_params ()) world in
   let rng = Mcmc.Rng.create (seed + 2 + (31 * chain)) in
-  let proposal = Ie.Proposals.batched_flip ~rng crf in
+  let proposal = Ie.Proposals.batched_flip ~proposals_per_batch:thin ~rng crf in
   Core.Pdb.create ~world ~proposal ~rng
 
-(* Build the NER probabilistic database every query-answering subcommand
-   samples from: synthesize the corpus, load it, build the chain over it. *)
-let make_ner_pdb ~seed ~tokens ~chain =
-  let docs = Ie.Corpus.generate_tokens ~seed ~n_tokens:tokens in
+(* The fresh-start side: load [docs], build the chain over them, and burn
+   in 4 MH steps per token of [tokens], rounded up to whole batches so the
+   post-burn-in state (sample 0, the first snapshot point) is also a
+   batch boundary. *)
+let make_ner_pdb ~seed ~thin ~chain ~tokens docs =
   let db = Relational.Database.create () in
   ignore (Ie.Token_table.load db docs : Relational.Table.t);
-  ner_pdb_of_db ~seed ~chain db
+  let pdb = ner_pdb_of_db ~seed ~thin ~chain db in
+  Core.Pdb.walk pdb ~steps:((((4 * tokens) + thin - 1) / thin) * thin);
+  pdb
 
 let print_top ~top answers =
   let answers = List.sort (fun (_, a) (_, b) -> compare b a) answers in
@@ -179,11 +190,12 @@ let print_top ~top answers =
 let query_cmd =
   let run seed tokens sql strategy samples thin top metrics_out trace_out =
     with_obs "query" metrics_out trace_out @@ fun () ->
-    let pdb = make_ner_pdb ~seed ~tokens ~chain:0 in
-    let t0 = Obs.Timer.start () in
-    let m =
-      Core.Evaluator.evaluate_sql ~burn_in:(4 * tokens) strategy pdb ~sql ~thin ~samples
+    let pdb =
+      make_ner_pdb ~seed ~thin ~chain:0 ~tokens
+        (Ie.Corpus.generate_tokens ~seed ~n_tokens:tokens)
     in
+    let t0 = Obs.Timer.start () in
+    let m = Core.Evaluator.evaluate_sql strategy pdb ~sql ~thin ~samples in
     Printf.printf "evaluated %d sampled worlds in %.2fs (%s; acceptance %.2f)\n\n"
       (Core.Marginals.samples m)
       (Obs.Timer.seconds (Obs.Timer.elapsed_ns t0))
@@ -335,30 +347,27 @@ let serve_cmd =
             resume;
             retries = ckpt_retries;
             backoff_s = 0.05;
-            remake = (fun ~chain db -> ner_pdb_of_db ~seed ~chain db);
+            remake = ner_pdb_of_db ~seed ~thin;
             policy;
           })
         wal_dir
     in
     let t0 = Obs.Timer.start () in
+    let docs = Ie.Corpus.generate_tokens ~seed ~n_tokens:tokens in
     let results, served_line =
       if shards > 1 then begin
         (* Scale-out path: partition the corpus by string cluster, one
            chain per slice, union the answers (DESIGN.md scale-out
            section). Burn-in happens inside [make], sized to each
            shard's own token count. *)
-        let docs = Ie.Corpus.generate_tokens ~seed ~n_tokens:tokens in
         let plan = Ie.Sharding.plan ~shards docs in
         let subs = Ie.Sharding.split plan docs in
         Printf.printf "sharded %d docs into %d slices (%d string clusters, %d cut strings)\n"
           (List.length docs) plan.Ie.Sharding.n_shards plan.Ie.Sharding.clusters
           plan.Ie.Sharding.cut_strings;
         let make ~shard =
-          let db = Relational.Database.create () in
-          ignore (Ie.Token_table.load db subs.(shard) : Relational.Table.t);
-          let pdb = ner_pdb_of_db ~seed ~chain:shard db in
-          Core.Pdb.walk pdb ~steps:(4 * plan.Ie.Sharding.weights.(shard));
-          pdb
+          make_ner_pdb ~seed ~thin ~chain:shard ~tokens:plan.Ie.Sharding.weights.(shard)
+            subs.(shard)
         in
         ( Serve.Shard.evaluate ~shards:plan.Ie.Sharding.n_shards ~make ~queries ~thin
             ~samples (),
@@ -366,8 +375,8 @@ let serve_cmd =
             (samples + 1) )
       end
       else
-        ( Serve.Pool.evaluate ~burn_in:(4 * tokens) ?durability ~chains
-            ~make:(fun ~chain -> make_ner_pdb ~seed ~tokens ~chain)
+        ( Serve.Pool.evaluate ?durability ~chains
+            ~make:(fun ~chain -> make_ner_pdb ~seed ~thin ~chain ~tokens docs)
             ~queries ~thin ~samples (),
           Printf.sprintf "%d shared chain(s) (%d worlds/query)" chains
             (chains * (samples + 1)) )
@@ -491,32 +500,6 @@ let await_queries_arg =
            all attach at sample 0 (the determinism knob the kill/resume smoke relies \
            on).")
 
-(* The daemon's chain constructor, fresh- and restore-side. The batched
-   proposal keeps a cursor (current document batch, proposals remaining)
-   that no snapshot captures; aligning [proposals_per_batch] with [thin]
-   makes batch reloads land exactly on sample boundaries — where
-   snapshots are taken and WAL replay resumes — so a resumed daemon is
-   sample-path identical to an uninterrupted one (the property
-   tools/daemon_smoke.sh asserts bit-for-bit). Same trick as the WAL
-   bench's chain. *)
-let daemon_pdb_of_db ~seed ~thin db =
-  let world = Core.World.create db in
-  let crf = Ie.Crf.create ~params:(Ie.Crf.default_params ()) world in
-  let rng = Mcmc.Rng.create (seed + 2) in
-  let proposal = Ie.Proposals.batched_flip ~proposals_per_batch:thin ~rng crf in
-  Core.Pdb.create ~world ~proposal ~rng
-
-let make_daemon_pdb ~seed ~tokens ~thin =
-  let docs = Ie.Corpus.generate_tokens ~seed ~n_tokens:tokens in
-  let db = Relational.Database.create () in
-  ignore (Ie.Token_table.load db docs : Relational.Table.t);
-  let pdb = daemon_pdb_of_db ~seed ~thin db in
-  (* Round burn-in up to a whole number of batches so the post-burn-in
-     snapshot point is also a batch boundary. *)
-  let burn = (((4 * tokens) + thin - 1) / thin) * thin in
-  Core.Pdb.walk pdb ~steps:burn;
-  pdb
-
 let daemon_cmd =
   let run seed tokens socket thin max_samples await_queries max_clients max_plans
       max_bootstraps slow_bytes wal_dir wal_fsync_every wal_compact_ratio resume
@@ -535,11 +518,15 @@ let daemon_cmd =
         slow_client_bytes = slow_bytes;
       }
     in
+    let make_pdb () =
+      make_ner_pdb ~seed ~thin ~chain:0 ~tokens
+        (Ie.Corpus.generate_tokens ~seed ~n_tokens:tokens)
+    in
     let daemon =
       match wal_dir with
       | None ->
         Serve.Daemon.of_registry cfg
-          (Serve.Registry.create (make_daemon_pdb ~seed ~tokens ~thin))
+          (Serve.Registry.create (make_pdb ()))
       | Some dir ->
         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
         let snap_path = Filename.concat dir "daemon.ckpt" in
@@ -547,10 +534,10 @@ let daemon_cmd =
         let durable =
           if resume then
             Serve.Durable.resume ~snap_path ~wal_path policy
-              ~make_pdb:(daemon_pdb_of_db ~seed ~thin)
+              ~make_pdb:(ner_pdb_of_db ~seed ~thin ~chain:0)
           else
             Serve.Durable.start ~snap_path ~wal_path policy
-              (Serve.Registry.create (make_daemon_pdb ~seed ~tokens ~thin))
+              (Serve.Registry.create (make_pdb ()))
         in
         Serve.Daemon.of_durable cfg durable
     in

@@ -1,5 +1,3 @@
-open Relational
-
 type report = {
   marginals : Marginals.t;
   final_thin : int;
@@ -10,50 +8,24 @@ type report = {
 
 let evaluate ?(strategy = Evaluator.Materialized) ?(k_min = 50) ?(k_max = 50_000)
     ?(target_overhead = 0.25) ?(initial_thin = 1_000) pdb ~query ~samples =
-  let world = Pdb.world pdb in
-  let db = Pdb.db pdb in
-  let marginals = Marginals.create () in
   let walk_s = ref 0. and query_s = ref 0. in
   (* Spans come from Obs.Timer's never-decreasing clock: a backwards wall
      clock step can no longer produce negative walk_s/query_s and mis-tune
      the thinning controller below. *)
   let timed acc f =
     let t0 = Obs.Timer.start () in
-    let x = f () in
-    acc := !acc +. Obs.Timer.seconds (Obs.Timer.elapsed_ns t0);
-    x
+    f ();
+    let dt = Obs.Timer.seconds (Obs.Timer.elapsed_ns t0) in
+    acc := !acc +. dt;
+    dt
   in
-  ignore (World.drain_delta world : Delta.t);
-  let view =
-    match strategy with
-    | Evaluator.Materialized -> Some (View.create db query)
-    | Evaluator.Naive -> None
-  in
-  let observe () =
-    let bag =
-      timed query_s (fun () ->
-          match view with
-          | Some v ->
-            View.update v (World.drain_delta world);
-            View.result v
-          | None ->
-            ignore (World.drain_delta world : Delta.t);
-            (Eval.eval db query).Eval.bag)
-    in
-    Marginals.observe marginals bag
-  in
-  (match view with
-  | Some v -> Marginals.observe marginals (View.result v)
-  | None -> Marginals.observe marginals (Eval.eval db query).Eval.bag);
+  let run = Evaluator.start strategy pdb ~query in
   let thin = ref initial_thin in
   let trajectory = ref [ (0, !thin) ] in
   let window_walk = ref 0. and window_query = ref 0. and window_steps = ref 0 in
   for i = 1 to samples do
-    let w0 = !walk_s and q0 = !query_s in
-    timed walk_s (fun () -> Pdb.walk pdb ~steps:!thin);
-    observe ();
-    window_walk := !window_walk +. (!walk_s -. w0);
-    window_query := !window_query +. (!query_s -. q0);
+    window_walk := !window_walk +. timed walk_s (fun () -> Pdb.walk pdb ~steps:!thin);
+    window_query := !window_query +. timed query_s (fun () -> Evaluator.observe run);
     window_steps := !window_steps + !thin;
     if i mod 10 = 0 && !window_steps > 0 then begin
       (* Per-step walk cost and per-sample query cost over the window. *)
@@ -77,5 +49,5 @@ let evaluate ?(strategy = Evaluator.Materialized) ?(k_min = 50) ?(k_max = 50_000
       window_steps := 0
     end
   done;
-  { marginals; final_thin = !thin; thin_trajectory = List.rev !trajectory;
+  { marginals = Evaluator.marginals run; final_thin = !thin; thin_trajectory = List.rev !trajectory;
     walk_s = !walk_s; query_s = !query_s }

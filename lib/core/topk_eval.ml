@@ -7,12 +7,8 @@ type result = {
 }
 
 let evaluate ?(z_score = 1.96) ?(min_samples = 20) ?(max_samples = 2000) pdb ~query ~k ~thin =
-  let world = Pdb.world pdb in
-  let db = Pdb.db pdb in
-  let marginals = Marginals.create () in
-  ignore (World.drain_delta world : Delta.t);
-  let view = View.create db query in
-  Marginals.observe marginals (View.result view);
+  let run = Evaluator.start Evaluator.Materialized pdb ~query in
+  let marginals = Evaluator.marginals run in
   let separated = ref false in
   let samples = ref 0 in
   let check () =
@@ -33,8 +29,7 @@ let evaluate ?(z_score = 1.96) ?(min_samples = 20) ?(max_samples = 2000) pdb ~qu
   in
   while (not !separated) && !samples < max_samples do
     Pdb.walk pdb ~steps:thin;
-    View.update view (World.drain_delta world);
-    Marginals.observe marginals (View.result view);
+    Evaluator.observe run;
     incr samples;
     if !samples >= min_samples && !samples mod 10 = 0 then separated := check ()
   done;

@@ -474,7 +474,6 @@ let emit_updates t sample =
 
 let step_once t =
   Registry.step t.reg ~thin:t.cfg.thin;
-  (match t.durable with Some d -> Durable.after_sample d | None -> ());
   let sample = Registry.samples t.reg in
   List.iter
     (fun (qid, _) ->

@@ -82,9 +82,9 @@ val of_registry : ?scheduler:Scheduler.t -> config -> Registry.t -> t
     unlinked first. Raises [Unix.Unix_error] if the bind fails. *)
 
 val of_durable : ?scheduler:Scheduler.t -> config -> Durable.t -> t
-(** Serve a journaled registry: each sample is followed by
-    {!Durable.after_sample}, and an orderly shutdown runs
-    {!Durable.close}. *)
+(** Serve a journaled registry: each sample is journaled (and the log
+    compacted when due) inside {!Registry.step}, and an orderly
+    shutdown runs {!Durable.close}. *)
 
 val tick : t -> timeout:float -> unit
 (** One loop iteration: poll ([select] with [timeout]), accept, read and

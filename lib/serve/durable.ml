@@ -74,10 +74,20 @@ let rotate t ~ctx =
   t.compactions <- n;
   Obs.Metrics.incr m_compactions
 
-let checkpoint t = rotate t ~ctx:"checkpoint"
-
+(* The journal sink is the whole durable step: Registry.step hands it the
+   sample's record, and once that record is in the log the compaction
+   check runs — so every caller that steps the registry compacts, with no
+   second call to remember. Register/Unregister/Absorb records only
+   append. *)
 let attach t =
-  Registry.set_journal t.reg (fun record -> Checkpoint.Wal.append t.writer record)
+  Registry.set_journal t.reg (fun record ->
+      Checkpoint.Wal.append t.writer record;
+      match record with
+      | Checkpoint.Wal.Sample _
+        when float_of_int (Checkpoint.Wal.bytes t.writer)
+             > t.policy.compact_ratio *. float_of_int t.snapshot_bytes ->
+          rotate t ~ctx:"step"
+      | _ -> ())
 
 let start ~snap_path ~wal_path policy reg =
   check_policy policy;
@@ -135,12 +145,6 @@ let resume ~snap_path ~wal_path policy ~make_pdb =
   rotate t ~ctx:"resume";
   attach t;
   t
-
-let after_sample t =
-  if
-    float_of_int (Checkpoint.Wal.bytes t.writer)
-    > t.policy.compact_ratio *. float_of_int t.snapshot_bytes
-  then rotate t ~ctx:"after_sample"
 
 let close t =
   if not t.closed then begin

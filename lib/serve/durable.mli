@@ -7,8 +7,11 @@
     - {e start}: snapshot the fresh registry, create the log over it,
       attach the journal; from then on every sample costs one O(|δ|)
       append instead of an O(|D|) snapshot.
-    - {e compaction} ({!checkpoint}): when the log outgrows the snapshot
-      by [compact_ratio], rewrite a fresh snapshot, then rotate the log
+    - {e compaction}: checked by the journal sink right after each
+      [Sample] record is appended, i.e. inside {!Registry.step} — a
+      durable chain needs no call besides [step]. When the log outgrows
+      the snapshot by [compact_ratio], rewrite a fresh snapshot, then
+      rotate the log
       (atomic replace with a header whose base is the new snapshot's
       sample count). The snapshot is durable {e before} the rotation, so
       a crash anywhere in between leaves a recoverable pair — the
@@ -22,7 +25,9 @@
     Crash points are exercised through failpoints ["wal.compact"] (before
     the compaction snapshot is written) and ["wal.rotate"] (between the
     snapshot write and the log rotation), both indexed by the 1-based
-    compaction ordinal, plus {!Checkpoint.Wal}'s append-side points.
+    compaction ordinal and raised out of {!Registry.step} (or out of
+    {!resume}/{!close}, which compact too), plus {!Checkpoint.Wal}'s
+    append-side points.
 
     Metrics (docs/OBSERVABILITY.md): [wal.compaction.count] (counter,
     log rotations performed) and [wal.bytes_per_sample] (gauge, log
@@ -58,23 +63,14 @@ val resume :
     behind: {!Checkpoint.State.load}, {!Checkpoint.Wal.recover} (a
     missing log file is an empty tail — legacy snapshot-only
     directories resume fine), {!Registry.restore_wal}, then an
-    immediate {!checkpoint}. Raises [Sys_error] if the snapshot is
+    immediate compaction. Raises [Sys_error] if the snapshot is
     missing and {!Checkpoint.Codec.Corrupt} if either artifact is
     damaged beyond a torn log tail. *)
 
 val registry : t -> Registry.t
 
-val after_sample : t -> unit
-(** The compaction check — call once per {!Registry.step}. Rotates via
-    {!checkpoint} when the log has outgrown the snapshot. *)
-
-val checkpoint : t -> unit
-(** Force a compaction: absorb-free snapshot, durable write, log
-    rotation. Raises [Invalid_argument] if the world carries an
-    undrained delta (checkpoint between steps, not mid-walk). *)
-
 val close : t -> unit
-(** Final {!checkpoint}, close the log writer, detach the journal. The
+(** Final compaction, close the log writer, detach the journal. The
     directory is left with a complete snapshot and an empty log — a
     later {!resume} replays nothing. *)
 

@@ -51,19 +51,19 @@ let run ?(burn_in = 0) ?durability ~merge ~chains ~make ~queries ~thin ~samples 
     List.iter (fun (name, q) -> ignore (Registry.register ~name reg q : Registry.query_id)) queries;
     reg
   in
-  (* The one sample loop, plain or durable; a resumed registry picks up
-     at the sample after its restored count. *)
-  let sample reg dur =
+  (* The one sample loop, plain or durable (a durable registry journals
+     and compacts inside Registry.step); a resumed registry picks up at
+     the sample after its restored count. *)
+  let sample reg =
     for s = Registry.samples reg + 1 to samples do
       Checkpoint.Failpoint.hit "pool.sample" ~index:s;
-      Registry.step reg ~thin;
-      Option.iter Durable.after_sample dur
+      Registry.step reg ~thin
     done;
     reg
   in
   let per_chain =
     match durability with
-    | None -> Mcmc.Parallel.map ~n:chains (fun i -> sample (fresh i) None)
+    | None -> Mcmc.Parallel.map ~n:chains (fun i -> sample (fresh i))
     | Some d ->
         (* attempts.(i) > 0 marks a supervised restart: the retried job must
            resume from the state its crashed predecessor left behind even
@@ -84,7 +84,7 @@ let run ?(burn_in = 0) ?durability ~merge ~chains ~make ~queries ~thin ~samples 
               Durable.resume ~snap_path ~wal_path d.policy ~make_pdb:(d.remake ~chain:i)
             else Durable.start ~snap_path ~wal_path d.policy (fresh i)
           in
-          let reg = sample (Durable.registry dur) (Some dur) in
+          let reg = sample (Durable.registry dur) in
           Durable.close dur;
           reg
         in

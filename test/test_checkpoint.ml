@@ -650,11 +650,10 @@ let test_wal_register_replay () =
   let policy = { Serve.Durable.fsync_every = 1; compact_ratio = 1e9 } in
   let reg_b = Serve.Registry.create (build_pdb ~seed ()) in
   let b0 = Serve.Registry.register_sql reg_b first_sql in
-  let dur = Serve.Durable.start ~snap_path ~wal_path policy reg_b in
+  let (_ : Serve.Durable.t) = Serve.Durable.start ~snap_path ~wal_path policy reg_b in
   let dstep reg n =
     for _ = 1 to n do
-      Serve.Registry.step reg ~thin:3;
-      Serve.Durable.after_sample dur
+      Serve.Registry.step reg ~thin:3
     done
   in
   dstep reg_b 4;
@@ -662,8 +661,8 @@ let test_wal_register_replay () =
   dstep reg_b 4;
   ignore (Serve.Registry.unregister reg_b b0 : Marginals.t);
   dstep reg_b 2;
-  (* Crash: drop [dur] without closing — every record is on disk
-     (fsync_every = 1), the writer's open descriptor simply dies. *)
+  (* Crash: drop the durable handle without closing — every record is on
+     disk (fsync_every = 1), the writer's open descriptor simply dies. *)
   let dur2 =
     Serve.Durable.resume ~snap_path ~wal_path policy
       ~make_pdb:(fun db -> pdb_over_db ~n_items:4 ~seed db)
@@ -672,14 +671,68 @@ let test_wal_register_replay () =
   Alcotest.(check int) "samples replayed" 10 (Serve.Registry.samples reg_b');
   Alcotest.(check int) "one live query" 1 (Serve.Registry.query_count reg_b');
   for _ = 1 to 2 do
-    Serve.Registry.step reg_b' ~thin:3;
-    Serve.Durable.after_sample dur2
+    Serve.Registry.step reg_b' ~thin:3
   done;
   Serve.Durable.close dur2;
   let b1 = fst (List.hd (Serve.Registry.queries reg_b')) in
   estimates_exactly_equal "late-registered query"
     (Serve.Registry.marginals reg_a a1)
     (Serve.Registry.marginals reg_b' b1)
+
+(* Compaction is part of Registry.step: a durable registry that is only
+   stepped compacts on its own, and a crash injected at a step-time
+   compaction ("wal.compact@2" — ordinal 1 is start's snapshot) raises
+   out of Registry.step and resumes bit-identical to an uninterrupted
+   twin. compact_ratio 0.3 puts a compaction every few samples. *)
+let test_wal_step_driven_compaction () =
+  let dir = fresh_ckpt_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Failpoint.disarm ();
+      rm_rf dir)
+  @@ fun () ->
+  let seed = 4343 and samples = 12 in
+  let policy = { Serve.Durable.fsync_every = 1; compact_ratio = 0.3 } in
+  let path name = Filename.concat dir name in
+  let twin = make_registry ~seed () in
+  Serve.Registry.run twin ~thin:3 ~samples;
+  let check_twin reg =
+    List.iter2
+      (fun (id, name) (id', _) ->
+        estimates_exactly_equal name (Serve.Registry.marginals twin id)
+          (Serve.Registry.marginals reg id'))
+      (Serve.Registry.queries twin) (Serve.Registry.queries reg)
+  in
+  (* Stepping alone compacts. *)
+  let reg = make_registry ~seed () in
+  let dur =
+    Serve.Durable.start ~snap_path:(path "live.ckpt") ~wal_path:(path "live.wal") policy reg
+  in
+  let started = Serve.Durable.compactions dur in
+  Serve.Registry.run reg ~thin:3 ~samples;
+  let stepped = Serve.Durable.compactions dur - started in
+  Alcotest.(check bool) "compacted by stepping alone" true (stepped >= 2);
+  check_twin reg;
+  Serve.Durable.close dur;
+  (* The same chain, killed by the first step-time compaction. *)
+  let snap_path = path "crash.ckpt" and wal_path = path "crash.wal" in
+  let reg = make_registry ~seed () in
+  let (_ : Serve.Durable.t) = Serve.Durable.start ~snap_path ~wal_path policy reg in
+  Failpoint.arm ~name:"wal.compact" ~at:2 ();
+  (match Serve.Registry.run reg ~thin:3 ~samples with
+  | () -> Alcotest.fail "wal.compact@2 never fired"
+  | exception Failpoint.Injected { name = "wal.compact"; index = 2 } -> ());
+  let crashed_at = Serve.Registry.samples reg in
+  Alcotest.(check bool) "crash after several logged samples" true (crashed_at > 1);
+  let dur2 =
+    Serve.Durable.resume ~snap_path ~wal_path policy
+      ~make_pdb:(fun db -> pdb_over_db ~n_items:4 ~seed db)
+  in
+  let reg' = Serve.Durable.registry dur2 in
+  Alcotest.(check int) "replayed up to the crash" crashed_at (Serve.Registry.samples reg');
+  Serve.Registry.run reg' ~thin:3 ~samples:(samples - crashed_at);
+  Serve.Durable.close dur2;
+  check_twin reg'
 
 (* The point of the log: per-sample durable bytes are small against the
    snapshot the old path rewrote every period (the paper's |Δ| ≪ |D|,
@@ -696,8 +749,7 @@ let test_wal_write_amplification () =
   in
   let samples = 30 in
   for _ = 1 to samples do
-    Serve.Registry.step reg ~thin:3;
-    Serve.Durable.after_sample dur
+    Serve.Registry.step reg ~thin:3
   done;
   let header_len = String.length (Wal.header ~base_samples:0) in
   let per_sample = (Serve.Durable.wal_bytes dur - header_len) / samples in
@@ -844,5 +896,6 @@ let () =
          Alcotest.test_case "resume-previous-process" `Quick
            test_wal_resume_previous_process;
          Alcotest.test_case "register-replay" `Quick test_wal_register_replay;
+         Alcotest.test_case "step-driven-compaction" `Quick test_wal_step_driven_compaction;
          Alcotest.test_case "write-amplification" `Quick test_wal_write_amplification;
          Alcotest.test_case "doc-matches-codec" `Quick test_wal_doc_matches_codec ]) ]

@@ -396,6 +396,49 @@ let test_adaptive_evaluator () =
      the floor rather than grow it. *)
   Alcotest.(check bool) "cheap queries shrink k" true (rep.final_thin <= 1_000)
 
+(* Adaptive, Topk_eval and Evaluator.evaluate share one sample step
+   (Evaluator.start/observe), so on the same seed they walk the same chain
+   and fold the same answers: their marginals agree bit for bit. *)
+let rows_bitwise a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (ra, pa) (rb, pb) ->
+         Row.equal ra rb && Int64.equal (Int64.bits_of_float pa) (Int64.bits_of_float pb))
+       a b
+
+let estimates_bitwise msg a b =
+  Alcotest.(check int) (msg ^ ": samples") (Marginals.samples a) (Marginals.samples b);
+  if not (rows_bitwise (Marginals.estimates a) (Marginals.estimates b)) then
+    Alcotest.failf "%s: estimates differ" msg
+
+let test_adaptive_pinned_equals_evaluator () =
+  let thin = 7 and samples = 60 in
+  List.iter
+    (fun strategy ->
+      let name = Evaluator.strategy_name strategy in
+      let _, _, pdb = build_graph_pdb ~seed:94 () in
+      let rep =
+        Adaptive.evaluate ~strategy ~k_min:thin ~k_max:thin ~initial_thin:thin pdb
+          ~query:query_blue ~samples
+      in
+      let _, _, pdb' = build_graph_pdb ~seed:94 () in
+      let m = Evaluator.evaluate strategy pdb' ~query:query_blue ~thin ~samples in
+      Alcotest.(check int) (name ^ ": k pinned") thin rep.Adaptive.final_thin;
+      Alcotest.(check int) (name ^ ": same walk") (Pdb.steps_taken pdb') (Pdb.steps_taken pdb);
+      estimates_bitwise name m rep.Adaptive.marginals)
+    [ Evaluator.Naive; Evaluator.Materialized ]
+
+let test_topk_eval_matches_evaluator () =
+  let _, _, pdb = build_graph_pdb ~seed:91 () in
+  let res = Topk_eval.evaluate pdb ~query:query_blue ~k:2 ~thin:7 in
+  let _, _, pdb' = build_graph_pdb ~seed:91 () in
+  let m =
+    Evaluator.evaluate Evaluator.Materialized pdb' ~query:query_blue ~thin:7
+      ~samples:res.Topk_eval.samples_used
+  in
+  if not (rows_bitwise (Confidence.top_k m 2) res.ranking) then
+    Alcotest.fail "Topk_eval ranking differs from Confidence.top_k of Evaluator.evaluate"
+
 let () =
   Alcotest.run "core"
     [ ("world",
@@ -425,7 +468,10 @@ let () =
          Alcotest.test_case "wilson" `Quick test_confidence_wilson;
          Alcotest.test_case "coverage" `Quick test_confidence_interval_covers;
          Alcotest.test_case "top-k" `Quick test_top_k ]);
-      ("adaptive", [ Alcotest.test_case "controller" `Quick test_adaptive_evaluator ]);
+      ("adaptive",
+       [ Alcotest.test_case "controller" `Quick test_adaptive_evaluator;
+         Alcotest.test_case "pinned-k=evaluator" `Quick test_adaptive_pinned_equals_evaluator ]);
       ("top-k-eval",
        [ Alcotest.test_case "basic" `Quick test_topk_eval;
-         Alcotest.test_case "early-stop" `Quick test_topk_eval_early_stop ]) ]
+         Alcotest.test_case "early-stop" `Quick test_topk_eval_early_stop;
+         Alcotest.test_case "ranking=evaluator" `Quick test_topk_eval_matches_evaluator ]) ]

@@ -479,17 +479,14 @@ let test_wal_resume_shared () =
   let wal_path = Filename.concat dir "chain.wal" in
   let policy = { Serve.Durable.fsync_every = 1; compact_ratio = 1e9 } in
   let reg = Serve.Registry.create (build_pdb ~seed ()) in
-  let dur = Serve.Durable.start ~snap_path ~wal_path policy reg in
-  schedule reg (fun reg ->
-      Serve.Registry.step reg ~thin:3;
-      Serve.Durable.after_sample dur);
+  let (_ : Serve.Durable.t) = Serve.Durable.start ~snap_path ~wal_path policy reg in
+  schedule reg (fun reg -> Serve.Registry.step reg ~thin:3);
   let dur2 =
     Serve.Durable.resume ~snap_path ~wal_path policy ~make_pdb:(pdb_over_db ~seed)
   in
   let reg' = Serve.Durable.registry dur2 in
   Alcotest.(check bool) "replay reshares" true (Serve.Registry.shared_nodes reg' > 0);
   Serve.Registry.step reg' ~thin:3;
-  Serve.Durable.after_sample dur2;
   Serve.Durable.close dur2;
   let find reg name =
     fst (List.find (fun (_, n) -> String.equal n name) (Serve.Registry.queries reg))
