@@ -19,11 +19,11 @@ let () =
   (* Train from an empty weight vector. *)
   let params = Factorgraph.Params.create () in
   let crf = Ie.Crf.create ~params world in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Timer.start () in
   let report = Ie.Training.train ~steps:150_000 ~rng:(Mcmc.Rng.create 1) crf in
   Printf.printf "SampleRank: %d steps, %d weight updates, %.1fs; decode accuracy %.3f\n"
     report.Ie.Training.steps report.updates
-    (Unix.gettimeofday () -. t0)
+    (Obs.Timer.seconds (Obs.Timer.elapsed_ns t0))
     report.accuracy_after;
 
   (* Evaluate Query 1 under both strategies on identical chains. *)
@@ -32,9 +32,9 @@ let () =
     let rng = Mcmc.Rng.create seed in
     let proposal = Ie.Proposals.batched_flip ~rng crf in
     let pdb = Pdb.create ~world ~proposal ~rng in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Timer.start () in
     let m = Evaluator.evaluate_sql strategy pdb ~sql ~thin:2_000 ~samples:40 in
-    (m, Unix.gettimeofday () -. t0)
+    (m, Obs.Timer.seconds (Obs.Timer.elapsed_ns t0))
   in
   let m_mat, t_mat = run Evaluator.Materialized 42 in
   let _, t_naive = run Evaluator.Naive 42 in

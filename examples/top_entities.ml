@@ -18,11 +18,11 @@ let () =
   (* Burn in, then evaluate top-10 with early stopping. *)
   Pdb.walk pdb ~steps:60_000;
   let query = Relational.Sql.parse "SELECT STRING FROM TOKEN WHERE LABEL='B-PER'" in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Timer.start () in
   let res = Topk_eval.evaluate ~max_samples:1_200 pdb ~query ~k:10 ~thin:400 in
   Printf.printf "top-10 person strings after %d samples (%.2fs, early stop: %b)\n\n"
     res.Topk_eval.samples_used
-    (Unix.gettimeofday () -. t0)
+    (Obs.Timer.seconds (Obs.Timer.elapsed_ns t0))
     res.separated;
 
   (* Re-estimate with intervals on a fresh marginal pass for reporting. *)

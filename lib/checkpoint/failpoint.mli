@@ -21,8 +21,10 @@ val arm : ?times:int -> name:string -> at:int -> unit -> unit
     previous arming. Raises [Invalid_argument] if [times < 1] or
     [at < 0]. *)
 
+(* pdb_lint: allow R11 — test hook: resets the injected fault between test cases; production arms once per process *)
 val disarm : unit -> unit
 
+(* pdb_lint: allow R11 — test hook: reads the armed fault state, which no public call reports *)
 val armed : unit -> (string * int) option
 (** The currently armed [(name, at)], if any. *)
 

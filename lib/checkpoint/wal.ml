@@ -242,7 +242,6 @@ let append w rec_ =
       if w.fsync_every > 0 && w.pending >= w.fsync_every then flush w)
 
 let bytes w = w.bytes
-let appended w = w.appended
 
 let close w =
   if not w.closed then begin

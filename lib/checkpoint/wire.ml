@@ -1,5 +1,8 @@
 open Relational
 
+(* Tagged value: [0]=Null, [1]=Int (zigzag varint), [2]=Float (8-byte
+   IEEE-754 LE), [3]=Bool, [4]=Text (length-prefixed). Decoding raises
+   [Codec.Corrupt] on an unknown tag or truncation. *)
 let enc_value b = function
   | Value.Null -> Codec.W.u8 b 0
   | Value.Int n ->
@@ -24,6 +27,7 @@ let dec_value r =
   | 4 -> Value.Text (Codec.R.string r)
   | n -> raise (Codec.Corrupt (Printf.sprintf "bad value tag %d" n))
 
+(* Arity as uvarint, then each value. *)
 let enc_row b row =
   Codec.W.uvarint b (Array.length row);
   Array.iter (enc_value b) row

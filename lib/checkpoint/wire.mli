@@ -10,18 +10,6 @@
 
 open Relational
 
-val enc_value : Codec.W.t -> Value.t -> unit
-(** Tagged value: [0]=Null, [1]=Int (zigzag varint), [2]=Float (8-byte
-    IEEE-754 LE), [3]=Bool, [4]=Text (length-prefixed). *)
-
-val dec_value : Codec.R.t -> Value.t
-(** Raises {!Codec.Corrupt} on an unknown tag or truncation. *)
-
-val enc_row : Codec.W.t -> Row.t -> unit
-(** Arity as uvarint, then each value via {!enc_value}. *)
-
-val dec_row : Codec.R.t -> Row.t
-
 val enc_entry : Codec.W.t -> Row.t * int -> unit
 (** A signed bag entry: row then multiplicity as a zigzag varint
     (negative counts are the Δ− side of a delta). *)

@@ -1,10 +1,3 @@
-let standard_error ?effective_samples m row =
-  let z =
-    float_of_int (match effective_samples with Some n -> max 1 n | None -> max 1 (Marginals.samples m))
-  in
-  let p = Marginals.probability m row in
-  sqrt (p *. (1. -. p) /. z)
-
 let wilson_interval ?effective_samples ?(z_score = 1.96) m row =
   let n =
     float_of_int (match effective_samples with Some n -> max 1 n | None -> max 1 (Marginals.samples m))

@@ -11,9 +11,6 @@
     optimistic by the autocorrelation factor; scale [effective_samples] by an
     ESS estimate when that matters. *)
 
-val standard_error : ?effective_samples:int -> Marginals.t -> Relational.Row.t -> float
-(** √(p̂(1−p̂)/z); [effective_samples] overrides z. *)
-
 val wilson_interval :
   ?effective_samples:int -> ?z_score:float -> Marginals.t -> Relational.Row.t -> float * float
 (** Wilson score interval (default [z_score] 1.96 ≈ 95%); well-behaved at

@@ -2,15 +2,5 @@ type t = { table : string; key : Relational.Value.t; column : string }
 
 let make ~table ~key ~column = { table; key; column }
 
-let compare a b =
-  match String.compare a.table b.table with
-  | 0 -> (
-    match Relational.Value.compare a.key b.key with
-    | 0 -> String.compare a.column b.column
-    | c -> c)
-  | c -> c
-
-let equal a b = compare a b = 0
-
 let pp fmt f =
   Format.fprintf fmt "%s[%s].%s" f.table (Relational.Value.to_string f.key) f.column

@@ -5,6 +5,4 @@
 type t = { table : string; key : Relational.Value.t; column : string }
 
 val make : table:string -> key:Relational.Value.t -> column:string -> t
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -38,7 +38,7 @@ let bind ?(to_value = default_to_value) t field dom =
       invalid_arg
         (Format.asprintf "Graph_pdb.bind: %a holds %s, outside its domain" Field.pp field current)
   in
-  let v = Graph.add_variable ~name:(Format.asprintf "%a" Field.pp field) t.graph dom in
+  let v = Graph.add_variable t.graph dom in
   (* Grow the parallel structures to cover the new variable. *)
   let a = Assignment.create (Graph.num_variables t.graph) in
   for i = 0 to Assignment.size t.assignment - 1 do
@@ -53,8 +53,6 @@ let bind ?(to_value = default_to_value) t field dom =
   t.bindings <- bs;
   Hashtbl.replace t.index field v;
   v
-
-let var_of_field t field = Hashtbl.find t.index field
 
 let set t v value =
   let b = t.bindings.(v) in

@@ -27,9 +27,6 @@ val bind :
     member of [dom]; the variable starts there. [to_value] converts a domain
     value back to a database cell (default: [Text]). *)
 
-val var_of_field : t -> Field.t -> Factorgraph.Graph.var
-(** Raises [Not_found] for unbound fields. *)
-
 val set : t -> Factorgraph.Graph.var -> int -> unit
 (** Writes a variable (by domain-value index) through to the database. *)
 

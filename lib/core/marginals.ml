@@ -107,10 +107,3 @@ let squared_error_to ~reference m =
       end)
     m.counts;
   !acc
-
-let squared_error ~reference m = squared_error_to ~reference:(estimates reference) m
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  List.iter (fun (row, p) -> Format.fprintf fmt "%s: %.4f@," (Row.to_string row) p) (estimates m);
-  Format.fprintf fmt "(%d samples)@]" m.z

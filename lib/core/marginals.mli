@@ -48,10 +48,6 @@ val merge_shards : t list -> t
     Contrast with {!merge}, which averages chains over the {e same}
     data and sums the normalizers. *)
 
-val squared_error : reference:t -> t -> float
+val squared_error_to : reference:(Relational.Row.t * float) list -> t -> float
 (** Element-wise squared loss over the union of support — the paper's
     evaluation metric. *)
-
-val squared_error_to : reference:(Relational.Row.t * float) list -> t -> float
-
-val pp : Format.formatter -> t -> unit

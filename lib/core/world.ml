@@ -3,10 +3,9 @@ open Relational
 type t = {
   db : Database.t;
   mutable delta : Delta.t;
-  mutable updates : int;
 }
 
-let create db = { db; delta = Delta.create (); updates = 0 }
+let create db = { db; delta = Delta.create () }
 let db w = w.db
 
 let get_field w (f : Field.t) =
@@ -23,21 +22,8 @@ let set_field w (f : Field.t) value =
   let current = get_field w f in
   if not (Value.equal current value) then begin
     let old_row, new_row = Table.update_field_by_pk table f.key ~column:f.column value in
-    Delta.record_update w.delta ~table:(Table.name table) ~old_row ~new_row;
-    w.updates <- w.updates + 1
+    Delta.record_update w.delta ~table:(Table.name table) ~old_row ~new_row
   end
-
-let insert_row w ~table row =
-  let t = Database.table w.db table in
-  Table.insert t row;
-  Delta.record_insert w.delta ~table:(Table.name t) row;
-  w.updates <- w.updates + 1
-
-let delete_row w ~table row =
-  let t = Database.table w.db table in
-  Table.delete t row;
-  Delta.record_delete w.delta ~table:(Table.name t) row;
-  w.updates <- w.updates + 1
 
 let pending_delta w = w.delta
 
@@ -45,5 +31,3 @@ let drain_delta w =
   let d = w.delta in
   w.delta <- Delta.create ();
   d
-
-let updates_applied w = w.updates

@@ -17,20 +17,9 @@ val set_field : t -> Field.t -> Relational.Value.t -> unit
 (** Write-through point update; records the old/new rows in the pending
     delta. A no-op when the value is unchanged. *)
 
-val insert_row : t -> table:string -> Relational.Row.t -> unit
-(** Inserts and records the insertion in the pending delta — possible worlds
-    are tuple sets (§3.2), so worlds may gain and lose whole tuples, not
-    just field values. *)
-
-val delete_row : t -> table:string -> Relational.Row.t -> unit
-(** Removes one occurrence; raises [Not_found] if absent. *)
-
 val pending_delta : t -> Relational.Delta.t
 (** The live delta accumulated since the last {!drain_delta} — read-only. *)
 
 val drain_delta : t -> Relational.Delta.t
 (** Returns the accumulated delta and resets the pending one — called once
     per query evaluation (between samples). *)
-
-val updates_applied : t -> int
-(** Total field writes since creation (MCMC accounting). *)

@@ -6,13 +6,7 @@ let get (a : t) i = a.(i)
 let set (a : t) i v = a.(i) <- v
 let copy = Array.copy
 
-let blit ~src ~dst =
-  if Array.length src <> Array.length dst then invalid_arg "Assignment.blit: size mismatch";
-  Array.blit src 0 dst 0 (Array.length src)
-
 let with_values a changes f =
   let saved = List.map (fun (i, _) -> (i, a.(i))) changes in
   List.iter (fun (i, v) -> a.(i) <- v) changes;
   Fun.protect ~finally:(fun () -> List.iter (fun (i, v) -> a.(i) <- v) saved) f
-
-let to_array = Array.copy

@@ -10,10 +10,7 @@ val size : t -> int
 val get : t -> int -> int
 val set : t -> int -> int -> unit
 val copy : t -> t
-val blit : src:t -> dst:t -> unit
 
 val with_values : t -> (int * int) list -> (unit -> 'a) -> 'a
 (** [with_values a changes f] runs [f] with [changes] applied to [a], then
     restores the previous values (even if [f] raises). *)
-
-val to_array : t -> int array

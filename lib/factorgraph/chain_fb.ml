@@ -58,38 +58,6 @@ let pairwise_marginals m i =
   let z = Logspace.log_sum_exp (Array.concat (Array.to_list joint)) in
   Array.map (fun row -> Array.map (fun x -> exp (x -. z)) row) joint
 
-let viterbi m =
-  if m.length = 0 then [||]
-  else begin
-    let best = Array.make_matrix m.length m.labels neg_infinity in
-    let back = Array.make_matrix m.length m.labels 0 in
-    for l = 0 to m.labels - 1 do
-      best.(0).(l) <- m.node 0 l
-    done;
-    for i = 1 to m.length - 1 do
-      for l = 0 to m.labels - 1 do
-        for l' = 0 to m.labels - 1 do
-          let s = best.(i - 1).(l') +. m.edge (i - 1) l' l in
-          if s > best.(i).(l) then begin
-            best.(i).(l) <- s;
-            back.(i).(l) <- l'
-          end
-        done;
-        best.(i).(l) <- best.(i).(l) +. m.node i l
-      done
-    done;
-    let path = Array.make m.length 0 in
-    let last = ref 0 in
-    for l = 1 to m.labels - 1 do
-      if best.(m.length - 1).(l) > best.(m.length - 1).(!last) then last := l
-    done;
-    path.(m.length - 1) <- !last;
-    for i = m.length - 1 downto 1 do
-      path.(i - 1) <- back.(i).(path.(i))
-    done;
-    path
-  end
-
 let sample m rand =
   if m.length = 0 then [||]
   else begin

@@ -20,11 +20,9 @@ val log_partition : model -> float
 val marginals : model -> float array array
 (** [marginals m] has shape [length × labels]; each row sums to 1. *)
 
+(* pdb_lint: allow R11 — reference implementation: checked against enumeration as the exact pairwise oracle *)
 val pairwise_marginals : model -> int -> float array array
 (** [pairwise_marginals m i] is the L×L joint of positions (i, i+1). *)
-
-val viterbi : model -> int array
-(** Highest-probability label path (ties broken toward lower indices). *)
 
 val sample : model -> Prng.t -> int array
 (** Exact posterior sample by forward filtering / backward sampling — the

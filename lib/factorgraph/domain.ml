@@ -13,10 +13,5 @@ let make values =
 
 let size d = Array.length d.values
 let value d i = d.values.(i)
-let index d v = Hashtbl.find d.indices v
 let index_opt d v = Hashtbl.find_opt d.indices v
-let values d = Array.to_list d.values
 let boolean = make [ "false"; "true" ]
-
-let pp fmt d =
-  Format.fprintf fmt "{%s}" (String.concat ", " (values d))

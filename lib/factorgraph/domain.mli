@@ -10,12 +10,6 @@ val make : string list -> t
 
 val size : t -> int
 val value : t -> int -> string
-val index : t -> string -> int
-(** Raises [Not_found]. *)
-
 val index_opt : t -> string -> int option
-val values : t -> string list
 val boolean : t
 (** The two-valued domain ["false"; "true"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -19,5 +19,6 @@ val event_probability : ?budget:int -> Graph.t -> Assignment.t -> (Assignment.t 
 (** Probability of a predicate of the world — e.g. "tuple t is in Q(w)"
     (Eq. 4), computed exactly. *)
 
+(* pdb_lint: allow R11 — reference implementation: SampleRank's learned MAP is checked against it *)
 val map_assignment : ?budget:int -> Graph.t -> Assignment.t -> Assignment.t
 (** Highest-scoring world (ties broken by enumeration order). *)

@@ -4,10 +4,9 @@ type factor_id = int
 type factor = {
   scope : var array;
   score : Assignment.t -> float;
-  features : (Assignment.t -> (string * float) list) option;
 }
 
-type var_info = { vname : string; dom : Domain.t; observed : bool }
+type var_info = { dom : Domain.t; observed : bool }
 
 type t = {
   mutable vars : var_info array; (* grows by doubling *)
@@ -18,21 +17,20 @@ type t = {
 }
 
 let create () =
-  { vars = Array.make 16 { vname = ""; dom = Domain.boolean; observed = false };
+  { vars = Array.make 16 { dom = Domain.boolean; observed = false };
     n_vars = 0;
     factors = Hashtbl.create 64;
     adjacency = Hashtbl.create 64;
     next_factor = 0 }
 
-let add_variable ?name ?(observed = false) g dom =
+let add_variable ?(observed = false) g dom =
   let id = g.n_vars in
   if id = Array.length g.vars then begin
     let bigger = Array.make (2 * id) g.vars.(0) in
     Array.blit g.vars 0 bigger 0 id;
     g.vars <- bigger
   end;
-  let vname = match name with Some n -> n | None -> Printf.sprintf "v%d" id in
-  g.vars.(id) <- { vname; dom; observed };
+  g.vars.(id) <- { dom; observed };
   g.n_vars <- id + 1;
   id
 
@@ -45,19 +43,15 @@ let domain g v =
   check_var g v;
   g.vars.(v).dom
 
-let var_name g v =
-  check_var g v;
-  g.vars.(v).vname
-
 let is_observed g v =
   check_var g v;
   g.vars.(v).observed
 
-let add_factor ?features g ~scope score =
+let add_factor g ~scope score =
   Array.iter (check_var g) scope;
   let id = g.next_factor in
   g.next_factor <- id + 1;
-  Hashtbl.replace g.factors id { scope; score; features };
+  Hashtbl.replace g.factors id { scope; score };
   (* Register each variable once even when it repeats in the scope, so
      adjacency lists stay duplicate-free — the single-change fast path of
      [touched_factors] returns them without deduplication. *)
@@ -88,20 +82,6 @@ let add_table_factor g ~scope table =
   in
   add_factor g ~scope score
 
-let remove_factor g id =
-  match Hashtbl.find_opt g.factors id with
-  | None -> ()
-  | Some f ->
-    Hashtbl.remove g.factors id;
-    Array.iter
-      (fun v ->
-        match Hashtbl.find_opt g.adjacency v with
-        | None -> ()
-        | Some fs -> Hashtbl.replace g.adjacency v (List.filter (fun x -> x <> id) fs))
-      f.scope
-
-let num_factors g = Hashtbl.length g.factors
-
 let factor g id =
   match Hashtbl.find_opt g.factors id with
   | Some f -> f
@@ -117,7 +97,7 @@ let touched_factors g changes =
   match changes with
   | [] -> []
   | [ (v, _) ] ->
-    (* Single-change fast path — the common case from flip/Gibbs proposals:
+    (* Single-change fast path — the common case from flip proposals:
        adjacency lists carry no duplicates (see [add_factor]), so the list
        is returned as-is with no dedup hashtable and no allocation. *)
     factors_of g v
@@ -144,22 +124,3 @@ let delta_log_score g a changes =
         List.fold_left (fun acc id -> acc +. (factor g id).score a) 0. ids)
   in
   after -. before
-
-let delta_features g a changes =
-  let ids = touched_factors g changes in
-  let acc : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let fold scale =
-    List.iter
-      (fun id ->
-        match (factor g id).features with
-        | None -> ()
-        | Some feats ->
-          List.iter
-            (fun (k, v) ->
-              Hashtbl.replace acc k ((scale *. v) +. Option.value ~default:0. (Hashtbl.find_opt acc k)))
-            (feats a))
-      ids
-  in
-  fold (-1.);
-  Assignment.with_values a changes (fun () -> fold 1.);
-  Hashtbl.fold (fun k v out -> if v <> 0. then (k, v) :: out else out) acc []

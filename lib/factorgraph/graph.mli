@@ -1,9 +1,8 @@
-(** Factor graphs G = ⟨V, Ψ⟩ with mutable structure.
+(** Factor graphs G = ⟨V, Ψ⟩, built up one variable and factor at a time.
 
     Variables are integer ids with finite domains; factors are log-space
-    potentials over a scope of variables. Factors may be added and removed
-    during inference — the paper's models change structure as MCMC moves
-    through worlds (e.g. split/merge in entity resolution).
+    potentials over a scope of variables (templates unroll them, see
+    {!Templates}).
 
     Scores are log potentials, so the unnormalized log probability of a world
     is the sum of factor scores (Eq. 1 with ψ = exp(φ·θ) taken in log
@@ -15,27 +14,18 @@ type factor_id = int
 
 val create : unit -> t
 
-val add_variable : ?name:string -> ?observed:bool -> t -> Domain.t -> var
+val add_variable : ?observed:bool -> t -> Domain.t -> var
 val num_variables : t -> int
 val domain : t -> var -> Domain.t
-val var_name : t -> var -> string
 val is_observed : t -> var -> bool
 
-val add_factor :
-  ?features:(Assignment.t -> (string * float) list) ->
-  t ->
-  scope:var array ->
-  (Assignment.t -> float) ->
-  factor_id
+val add_factor : t -> scope:var array -> (Assignment.t -> float) -> factor_id
 (** [add_factor g ~scope score] registers a factor whose log potential
-    [score a] may depend only on the values of [scope] in [a]. [features]
-    optionally exposes the factor's sufficient statistics for learning. *)
+    [score a] may depend only on the values of [scope] in [a]. *)
 
 val add_table_factor : t -> scope:var array -> float array -> factor_id
 (** Log-potential table in row-major order over the scope's domains. *)
 
-val remove_factor : t -> factor_id -> unit
-val num_factors : t -> int
 val factor_scope : t -> factor_id -> var array
 val factors_of : t -> var -> factor_id list
 val factor_score : t -> factor_id -> Assignment.t -> float
@@ -50,11 +40,6 @@ val delta_log_score : t -> Assignment.t -> (var * int) list -> float
     [a′] applies [changes], computed by touching only the factors adjacent to
     changed variables (the MH efficiency of Appendix 9.2). [a] is left
     unchanged. *)
-
-val delta_features : t -> Assignment.t -> (var * int) list -> (string * float) list
-(** Sparse feature-vector difference φ(a′) − φ(a) over the factors adjacent
-    to the change (factors without features contribute nothing). Used by
-    SampleRank. *)
 
 val touched_factors : t -> (var * int) list -> factor_id list
 (** De-duplicated factors adjacent to any changed variable. *)

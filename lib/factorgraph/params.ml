@@ -7,10 +7,5 @@ let update p k dw = set p k (get p k +. dw)
 let update_sparse p feats ~scale = List.iter (fun (k, v) -> update p k (scale *. v)) feats
 let dot p feats = List.fold_left (fun acc (k, v) -> acc +. (get p k *. v)) 0. feats
 
-let to_list p =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) p []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let cardinal = Hashtbl.length
 let copy = Hashtbl.copy
-let l2_norm p = sqrt (Hashtbl.fold (fun _ v acc -> acc +. (v *. v)) p 0.)

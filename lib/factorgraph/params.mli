@@ -15,9 +15,5 @@ val update_sparse : t -> (string * float) list -> scale:float -> unit
 (** Adds [scale * v] to every listed feature weight. *)
 
 val dot : t -> (string * float) list -> float
-val to_list : t -> (string * float) list
-(** Sorted by feature name. *)
-
 val cardinal : t -> int
 val copy : t -> t
-val l2_norm : t -> float

@@ -30,9 +30,7 @@ let shape_feature s l = Printf.sprintf "shape:%s:%s" (word_shape s) l
 let unroll_chain ?(skip_edges = false) ~params ~label_domain ~tokens () =
   let g = Graph.create () in
   let n = Array.length tokens in
-  let labels =
-    Array.init n (fun i -> Graph.add_variable ~name:(Printf.sprintf "label%d" i) g label_domain)
-  in
+  let labels = Array.init n (fun _ -> Graph.add_variable g label_domain) in
   let label_of a i = Domain.value label_domain (Assignment.get a labels.(i)) in
   for i = 0 to n - 1 do
     (* Emission: observed string (and its shape) vs hidden label. *)
@@ -41,18 +39,18 @@ let unroll_chain ?(skip_edges = false) ~params ~label_domain ~tokens () =
       [ (emission_feature tokens.(i) l, 1.); (shape_feature tokens.(i) l, 1.) ]
     in
     ignore
-      (Graph.add_factor ~features:emit_feats g ~scope:[| labels.(i) |] (fun a ->
+      (Graph.add_factor g ~scope:[| labels.(i) |] (fun a ->
            Params.dot params (emit_feats a)));
     (* Bias over each label. *)
     let bias_feats a = [ (bias_feature (label_of a i), 1.) ] in
     ignore
-      (Graph.add_factor ~features:bias_feats g ~scope:[| labels.(i) |] (fun a ->
+      (Graph.add_factor g ~scope:[| labels.(i) |] (fun a ->
            Params.dot params (bias_feats a)));
     (* First-order transition. *)
     if i + 1 < n then begin
       let trans_feats a = [ (transition_feature (label_of a i) (label_of a (i + 1)), 1.) ] in
       ignore
-        (Graph.add_factor ~features:trans_feats g ~scope:[| labels.(i); labels.(i + 1) |]
+        (Graph.add_factor g ~scope:[| labels.(i); labels.(i + 1) |]
            (fun a -> Params.dot params (trans_feats a)))
     end
   done;
@@ -64,7 +62,7 @@ let unroll_chain ?(skip_edges = false) ~params ~label_domain ~tokens () =
             [ (skip_feature ~same:(label_of a i = label_of a j), 1.) ]
           in
           ignore
-            (Graph.add_factor ~features:skip_feats g ~scope:[| labels.(i); labels.(j) |]
+            (Graph.add_factor g ~scope:[| labels.(i); labels.(j) |]
                (fun a -> Params.dot params (skip_feats a)))
         end
       done

@@ -27,15 +27,3 @@ let model_of_doc crf ~doc =
     edge = (fun _ l l' -> edge_table.(l).(l')) }
 
 let marginals crf ~doc = Chain_fb.marginals (model_of_doc crf ~doc)
-let log_partition crf ~doc = Chain_fb.log_partition (model_of_doc crf ~doc)
-
-let viterbi_labels crf ~doc =
-  Array.map Labels.of_index (Chain_fb.viterbi (model_of_doc crf ~doc))
-
-let decode crf =
-  for doc = 0 to Crf.n_docs crf - 1 do
-    let first, _ = Crf.doc_token_range crf doc in
-    Array.iteri
-      (fun i l -> Crf.set_label_local crf ~pos:(first + i) l)
-      (viterbi_labels crf ~doc)
-  done

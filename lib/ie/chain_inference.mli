@@ -7,14 +7,7 @@ val model_of_doc : Crf.t -> doc:int -> Factorgraph.Chain_fb.model
 (** Node potentials are emission+bias, edge potentials the transition
     weights, all read live from the CRF's parameter store. *)
 
+(* pdb_lint: allow R11 — reference implementation: MCMC and generative-eval marginals are tested against it *)
 val marginals : Crf.t -> doc:int -> float array array
 (** [positions × 9] label marginals for one document, in {!Labels.all}
     order. *)
-
-val log_partition : Crf.t -> doc:int -> float
-
-val viterbi_labels : Crf.t -> doc:int -> Labels.t array
-
-val decode : Crf.t -> unit
-(** Sets every document's labels to its Viterbi path (in the in-memory
-    mirror only). *)

@@ -27,32 +27,8 @@ let load db ~strings =
       cluster = Array.init (Array.length strings) Fun.id;
       next_cluster = Array.length strings } )
 
-let of_world world =
-  let table = Database.table (Core.World.db world) table_name in
-  let rows =
-    Bag.rows (Table.rows table)
-    |> List.sort (fun a b -> Value.compare (Row.get a 0) (Row.get b 0))
-    |> Array.of_list
-  in
-  let strings = Array.map (fun r -> Value.to_string (Row.get r 1)) rows in
-  let cluster = Array.map (fun r -> Value.to_int (Row.get r 2)) rows in
-  let next_cluster = 1 + Array.fold_left max (-1) cluster in
-  { world; strings; cluster; next_cluster }
-
 let n_mentions t = Array.length t.strings
-let mention_string t i = t.strings.(i)
 let cluster_of t i = t.cluster.(i)
-
-let clusters t =
-  let acc : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  Array.iteri
-    (fun i c ->
-      match Hashtbl.find_opt acc c with
-      | Some l -> l := i :: !l
-      | None -> Hashtbl.replace acc c (ref [ i ]))
-    t.cluster;
-  Hashtbl.fold (fun c l out -> (c, List.sort compare !l) :: out) acc []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let tokens_of s = String.split_on_char ' ' s |> List.concat_map (String.split_on_char '.')
 
@@ -66,16 +42,6 @@ let affinity t i j =
     let ta = tokens_of a and tb = tokens_of b in
     if List.exists (fun w -> String.length w > 1 && List.mem w tb) ta then 2.5 else -3.0
   end
-
-let log_score t =
-  let n = n_mentions t in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if t.cluster.(i) = t.cluster.(j) then acc := !acc +. affinity t i j
-    done
-  done;
-  !acc
 
 let members t c =
   let out = ref [] in

@@ -18,21 +18,11 @@ val load : Relational.Database.t -> strings:string array -> Core.World.t * t
 (** Builds the MENTION table (every mention starts in its own cluster) and
     the model around it. *)
 
-val of_world : Core.World.t -> t
-(** Re-reads an existing MENTION table. *)
-
-val n_mentions : t -> int
-val mention_string : t -> int -> string
 val cluster_of : t -> int -> int
-val clusters : t -> (int * int list) list
-(** Cluster id → member mentions, sorted. *)
 
 val affinity : t -> int -> int -> float
 (** Pairwise log-affinity: positive for similar strings, negative for
     dissimilar (exact match > shared-token match > mismatch). *)
-
-val log_score : t -> float
-(** Σ affinity over same-cluster pairs — the full world score. *)
 
 val move_proposal : t -> Core.World.t Mcmc.Proposal.t
 (** Reassign one mention to an existing cluster or a fresh singleton;

@@ -318,11 +318,6 @@ let unclamped_positions t =
     t.unclamped_cache <- Some a;
     a
 
-let set_labels_to_truth t =
-  Array.iteri (fun i tr -> set_label t ~pos:i tr) t.truth
-
-let reset_labels t = Array.iteri (fun i _ -> set_label t ~pos:i Labels.O) t.labels
-
 (* ------------------------------------------------------------------ *)
 
 let default_params () =

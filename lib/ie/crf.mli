@@ -80,10 +80,6 @@ val is_clamped : t -> int -> bool
 val unclamped_positions : t -> int array
 (** Cached after first call; call {!clamp} only before sampling begins. *)
 
-val set_labels_to_truth : t -> unit
-val reset_labels : t -> unit
-(** All labels back to "O" (the paper's initial world). *)
-
 val default_params : unit -> Factorgraph.Params.t
 (** Hand-constructed weights that mimic a trained model: lexicon-driven
     emissions (with genuine LOC/ORG ambiguity on city strings), BIO-aware

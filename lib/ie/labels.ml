@@ -52,8 +52,6 @@ let of_string s =
   | Some l -> l
   | None -> invalid_arg ("Labels.of_string: " ^ s)
 
-let entity_of = function O -> None | B e | I e -> Some e
-
 (* One interned id (hence one shared [Value.Text] box) per label: the
    sampler's accepted-flip path writes [value l] into the TOKEN table
    without allocating text (lint rule R7). *)
@@ -76,13 +74,6 @@ let valid_transition ~prev l =
     match prev with
     | Some (B e') | Some (I e') -> e = e'
     | Some O | None -> false)
-
-let valid_sequence ls =
-  let rec go prev = function
-    | [] -> true
-    | l :: rest -> valid_transition ~prev l && go (Some l) rest
-  in
-  go None ls
 
 let segments arr =
   let n = Array.length arr in

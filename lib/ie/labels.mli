@@ -14,11 +14,6 @@ val to_string : t -> string
 val of_string : string -> t
 (** Raises [Invalid_argument] on unknown labels. *)
 
-val of_string_opt : string -> t option
-(** Returns the shared constants of {!all} (no allocation per call). *)
-
-val entity_of : t -> entity option
-
 val value : t -> Relational.Value.t
 (** The label as a cell value, one shared interned [Value.Text] box per
     label — what the sampler writes into TOKEN.LABEL on an accepted flip
@@ -33,8 +28,6 @@ val of_index : int -> t
 val valid_transition : prev:t option -> t -> bool
 (** BIO validity: I-T may only follow B-T or I-T; [prev = None] means
     sequence (or document) start. *)
-
-val valid_sequence : t list -> bool
 
 val segments : t array -> (int * int * entity) list
 (** Maximal mentions as [(start, stop_exclusive, entity)], reading B/I runs

@@ -6,7 +6,6 @@
     for training and loss measurement. *)
 
 val table_name : string
-val schema : unit -> Relational.Schema.t
 
 val load :
   ?storage:[ `Boxed | `Columnar ] -> Relational.Database.t -> Corpus.doc list ->

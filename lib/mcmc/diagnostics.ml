@@ -55,9 +55,3 @@ let gelman_rubin chains =
       if Float.equal w 0. then nan
       else sqrt ((((n -. 1.) /. n *. w) +. (b /. n)) /. w)
     end
-
-let squared_error a b =
-  if Array.length a <> Array.length b then invalid_arg "Diagnostics.squared_error: length mismatch";
-  let acc = ref 0. in
-  Array.iteri (fun i x -> acc := !acc +. ((x -. b.(i)) ** 2.)) a;
-  !acc

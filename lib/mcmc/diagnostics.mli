@@ -14,6 +14,3 @@ val effective_sample_size : float array -> float
 val gelman_rubin : float array list -> float
 (** Potential scale reduction factor R̂ over ≥2 equal-length chains; values
     near 1 indicate the chains agree. Returns [nan] for degenerate input. *)
-
-val squared_error : float array -> float array -> float
-(** Element-wise squared loss Σ (aᵢ − bᵢ)² — the paper's evaluation loss. *)

@@ -3,7 +3,6 @@ open Factorgraph
 type world = { graph : Graph.t; assignment : Assignment.t }
 
 let world_of graph = { graph; assignment = Graph.new_assignment graph }
-let copy w = { w with assignment = Assignment.copy w.assignment }
 
 let hidden_vars g =
   let out = ref [] in
@@ -35,47 +34,4 @@ let flip ?vars () : world Proposal.t =
     in
     { Proposal.delta_log_pi;
       log_q_ratio = 0.;
-      commit = (fun () -> Assignment.set w.assignment v value) }
-
-let gibbs ?vars () : world Proposal.t =
-  let cache = ref None in
-  fun rng w ->
-    let pool =
-      match vars with
-      | Some vs -> vs
-      | None -> (
-        match !cache with
-        | Some vs -> vs
-        | None ->
-          let vs = hidden_vars w.graph in
-          cache := Some vs;
-          vs)
-    in
-    let v = Rng.pick rng pool in
-    let dom = Graph.domain w.graph v in
-    let n = Domain.size dom in
-    let current = Assignment.get w.assignment v in
-    (* Conditional over values of v given the rest: proportional to the
-       product of adjacent factors. *)
-    let logits =
-      Array.init n (fun x ->
-          if Int.equal x current then 0. else Graph.delta_log_score w.graph w.assignment [ (v, x) ])
-    in
-    let probs = Logspace.normalize_log logits in
-    (* Draw from the conditional. *)
-    let u = Rng.uniform rng in
-    let value =
-      let rec pick i acc =
-        if Int.equal i (n - 1) then i
-        else if u < acc +. probs.(i) then i
-        else pick (i + 1) (acc +. probs.(i))
-      in
-      pick 0 0.
-    in
-    (* Gibbs as MH: q(w'|w) = p(value | rest), q(w|w') = p(current | rest);
-       the full ratio is exactly 1, so encode it through log_q_ratio. *)
-    let delta_log_pi = logits.(value) in
-    let log_q_ratio = log probs.(current) -. log probs.(value) in
-    { Proposal.delta_log_pi;
-      log_q_ratio;
       commit = (fun () -> Assignment.set w.assignment v value) }

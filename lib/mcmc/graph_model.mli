@@ -4,17 +4,8 @@
 type world = { graph : Factorgraph.Graph.t; assignment : Factorgraph.Assignment.t }
 
 val world_of : Factorgraph.Graph.t -> world
-val copy : world -> world
 
 val flip : ?vars:Factorgraph.Graph.var array -> unit -> world Proposal.t
 (** Uniformly picks a hidden variable (from [vars] if given) and a uniformly
     random new value for it. Symmetric, so the proposal ratio is zero; the
     model ratio touches only adjacent factors. *)
-
-val gibbs : ?vars:Factorgraph.Graph.var array -> unit -> world Proposal.t
-(** Picks a variable uniformly, then samples its new value from the
-    conditional distribution given its Markov blanket. Always accepted
-    (the MH ratio is exactly 1), implemented through the proposal
-    correction. *)
-
-val hidden_vars : Factorgraph.Graph.t -> Factorgraph.Graph.var array

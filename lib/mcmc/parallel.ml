@@ -93,5 +93,3 @@ let map ?(retries = 0) ?(backoff_s = 0.) ?on_retry ~n f =
   | Some (index, attempts, exn) -> raise (Job_failed { index; attempts; exn })
   | None -> ());
   Array.to_list (Array.map Option.get results)
-
-let split_rngs rng n = Array.init n (fun _ -> Rng.split rng)

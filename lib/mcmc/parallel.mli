@@ -32,6 +32,3 @@ val map :
     {!Job_failed} carrying the job's index, total attempt count, and last
     exception is raised — rather than surfacing a bare worker exception or
     dying on an unfilled result slot. Metric: [parallel.retries]. *)
-
-val split_rngs : Rng.t -> int -> Rng.t array
-(** Independent generators for n workers, derived deterministically. *)

@@ -17,21 +17,12 @@ val of_seeds : int array -> t
     annotator noise) that must stay byte-identical to their historically
     seeded draws. *)
 
-val split : t -> t
-(** A new generator seeded from (but independent of) this one — four
-    30-bit draws of parent entropy, so sibling streams (e.g. from
-    {!Parallel.split_rngs}) do not collide on their early draws. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n). *)
 
 val float : t -> float -> float
-val uniform : t -> float
-(** Uniform in [0, 1). *)
 
 val bool : t -> bool
-val bernoulli : t -> float -> bool
-(** [bernoulli t p] is true with probability [p]. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

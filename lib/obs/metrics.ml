@@ -16,11 +16,10 @@ let bucket_bounds = function
   | 0 -> (min_int, 0)
   | k -> (1 lsl (k - 1), (1 lsl k) - 1)
 
-type counter = { c_name : string; c : int Atomic.t }
-type gauge = { g_name : string; g : float Atomic.t }
+type counter = { c : int Atomic.t }
+type gauge = { g : float Atomic.t }
 
 type histogram = {
-  h_name : string;
   counts : int Atomic.t array; (* one cell per bucket *)
   h_n : int Atomic.t;
   h_sum : int Atomic.t;
@@ -60,29 +59,24 @@ let intern reg name ~kind ~make ~select =
 
 let counter ?(reg = global) name =
   intern reg name ~kind:"counter"
-    ~make:(fun () -> I_counter { c_name = name; c = Atomic.make 0 })
+    ~make:(fun () -> I_counter { c = Atomic.make 0 })
     ~select:(function I_counter c -> Some c | _ -> None)
 
 let incr c = if enabled () then ignore (Atomic.fetch_and_add c.c 1 : int)
 let add c n = if enabled () then ignore (Atomic.fetch_and_add c.c n : int)
-let counter_value c = Atomic.get c.c
-let counter_name c = c.c_name
 
 let gauge ?(reg = global) name =
   intern reg name ~kind:"gauge"
-    ~make:(fun () -> I_gauge { g_name = name; g = Atomic.make 0. })
+    ~make:(fun () -> I_gauge { g = Atomic.make 0. })
     ~select:(function I_gauge g -> Some g | _ -> None)
 
 let set_gauge g x = if enabled () then Atomic.set g.g x
-let gauge_value g = Atomic.get g.g
-let gauge_name g = g.g_name
 
 let histogram ?(reg = global) name =
   intern reg name ~kind:"histogram"
     ~make:(fun () ->
       I_histogram
-        { h_name = name;
-          counts = Array.init n_buckets (fun _ -> Atomic.make 0);
+        { counts = Array.init n_buckets (fun _ -> Atomic.make 0);
           h_n = Atomic.make 0;
           h_sum = Atomic.make 0;
           h_max = Atomic.make 0 })
@@ -133,7 +127,6 @@ let quantile h q =
     go 0 0
   end
 
-let hist_name h = h.h_name
 
 (* ------------------------------------------------------------------ *)
 
@@ -153,33 +146,6 @@ let reset reg =
             Atomic.set h.h_sum 0;
             Atomic.set h.h_max 0)
         reg.items)
-
-let merge_into ~into src =
-  (* Snapshot the source item list first so we never hold both locks. *)
-  let items =
-    Mutex.lock src.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock src.lock)
-      (fun () -> Hashtbl.fold (fun name item acc -> (name, item) :: acc) src.items [])
-  in
-  List.iter
-    (fun (name, item) ->
-      match item with
-      | I_counter c ->
-        let dst = counter ~reg:into name in
-        ignore (Atomic.fetch_and_add dst.c (Atomic.get c.c) : int)
-      | I_gauge g ->
-        let dst = gauge ~reg:into name in
-        Atomic.set dst.g (Atomic.get g.g)
-      | I_histogram h ->
-        let dst = histogram ~reg:into name in
-        Array.iteri
-          (fun k cell -> ignore (Atomic.fetch_and_add dst.counts.(k) (Atomic.get cell) : int))
-          h.counts;
-        ignore (Atomic.fetch_and_add dst.h_n (Atomic.get h.h_n) : int);
-        ignore (Atomic.fetch_and_add dst.h_sum (Atomic.get h.h_sum) : int);
-        atomic_max dst.h_max (Atomic.get h.h_max))
-    items
 
 type value =
   | Counter of int

@@ -40,8 +40,8 @@ val enabled : unit -> bool
 
 type t
 (** A registry: a named collection of metrics. Most code uses
-    {!global}; tests create private registries to exercise {!merge_into}
-    without interference. *)
+    {!global}; tests create private registries to exercise it without
+    interference. *)
 
 val global : t
 (** The process-wide default registry; [?reg] arguments default to it. *)
@@ -54,12 +54,6 @@ val reset : t -> unit
     handles: counters drop to 0, gauges to [nan]-free 0.0, histograms to
     empty. Used by tests and by long-running processes that snapshot
     periodically. *)
-
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] folds [src] into [into]: counters add,
-    histograms add bucket-wise (max of maxima), gauges take the [src]
-    value. Metrics missing from [into] are created. Raises
-    [Invalid_argument] on a name registered with different kinds. *)
 
 (** {1 Counters}
 
@@ -77,9 +71,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 (** Add [n]. No-op while collection is disabled. *)
 
-val counter_value : counter -> int
-val counter_name : counter -> string
-
 (** {1 Gauges}
 
     Last-write-wins floats for level measurements (table sizes,
@@ -90,9 +81,6 @@ type gauge
 val gauge : ?reg:t -> string -> gauge
 val set_gauge : gauge -> float -> unit
 (** No-op while collection is disabled. *)
-
-val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 (** {1 Histograms}
 
@@ -129,8 +117,6 @@ val quantile : histogram -> float -> int
 (** [quantile h q] estimates the [q]-quantile ([0. <= q <= 1.]) as the
     upper bound of the bucket containing it — an overestimate by at most
     a factor of 2. 0 if the histogram is empty. *)
-
-val hist_name : histogram -> string
 
 val bucket_index : int -> int
 (** The bucket a sample falls into (exposed for tests): [bucket_index v]

@@ -92,9 +92,3 @@ let recent () =
           match r.((start + i) mod cap) with
           | Some e -> e
           | None -> assert false))
-
-let clear () =
-  locked (fun () ->
-      Array.fill !ring 0 (Array.length !ring) None;
-      head := 0;
-      filled := 0)

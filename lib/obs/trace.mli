@@ -51,9 +51,6 @@ val emit : ?args:(string * string) list -> string -> unit
 val recent : unit -> event list
 (** Buffered events, oldest first (at most [capacity] of them). *)
 
-val clear : unit -> unit
-(** Drop all buffered events (the sink is not touched). *)
-
 val to_json : event -> string
 (** One event as a single-line JSON object
     [{"ts_ns":..., "name":..., "args":{...}}]. *)

@@ -20,8 +20,8 @@ val of_seeds : int array -> t
 
 val split : t -> t
 (** A new generator seeded from (but independent of) this one — four
-    30-bit draws of parent entropy, so sibling streams (e.g. from
-    {!Mcmc.Parallel.split_rngs}) do not collide on their early draws. *)
+    30-bit draws of parent entropy, so sibling streams (one per
+    parallel chain) do not collide on their early draws. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n). *)

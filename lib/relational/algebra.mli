@@ -39,8 +39,7 @@ type t =
   | Order_by of { keys : (string * dir) list; limit : int option; child : t }
       (** Ordering with optional LIMIT. As a multiset the result only
           changes when [limit] is set (top-N rows, counting multiplicity,
-          ties broken by full-row order); {!Eval.eval_ordered} recovers the
-          ordering itself. *)
+          ties broken by full-row order). *)
 
 val scan : ?alias:string -> string -> t
 val select : Expr.t -> t -> t

@@ -27,12 +27,6 @@ let fold f b init = H.fold f b init
 let add_bag ?(scale = 1) dst src = H.iter (fun r c -> add ~count:(scale * c) dst r) src
 
 let copy = H.copy
-let clear = H.reset
-
-let of_rows rows =
-  let b = create () in
-  List.iter (fun r -> add b r) rows;
-  b
 
 let to_list b =
   H.fold (fun r c acc -> (r, c) :: acc) b []
@@ -40,11 +34,6 @@ let to_list b =
 
 let rows b =
   to_list b |> List.filter_map (fun (r, c) -> if c > 0 then Some r else None)
-
-let equal a b =
-  H.length a = H.length b && H.fold (fun r c ok -> ok && Int.equal (count b r) c) a true
-
-let all_nonnegative b = H.fold (fun _ c ok -> ok && c >= 0) b true
 
 let map_rows f b =
   let out = create ~size:(H.length b) () in
@@ -55,8 +44,3 @@ let filter p b =
   let out = create () in
   H.iter (fun r c -> if p r then add ~count:c out r) b;
   out
-
-let pp fmt b =
-  Format.fprintf fmt "{";
-  List.iter (fun (r, c) -> Format.fprintf fmt " %s:%d" (Row.to_string r) c) (to_list b);
-  Format.fprintf fmt " }"

@@ -43,24 +43,15 @@ val add_bag : ?scale:int -> t -> t -> unit
     [dst] (default scale 1; use -1 to subtract). *)
 
 val copy : t -> t
-val clear : t -> unit
 
-val of_rows : Row.t list -> t
 val to_list : t -> (Row.t * int) list
 (** Entries sorted by row, for deterministic output. *)
 
 val rows : t -> Row.t list
 (** Distinct rows with positive count, sorted. *)
 
-val equal : t -> t -> bool
-(** Same multiplicity for every row. *)
-
-val all_nonnegative : t -> bool
-
 val map_rows : (Row.t -> Row.t) -> t -> t
 (** Relabels rows, summing counts of rows that collide (multiset
     projection). *)
 
 val filter : (Row.t -> bool) -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -68,7 +68,6 @@ let create ~pk ~name schema =
     cached_bag = None;
   }
 
-let schema t = t.schema
 let cardinal t = t.len
 
 (* ---------------- cell codec ---------------- *)
@@ -346,16 +345,3 @@ let column_ints t col =
   match t.cols.(col) with
   | C_float _ -> None
   | _ -> Some (Array.init t.len (fun slot -> encoded_at t col slot))
-
-let clear t =
-  invalidate t;
-  t.cols <- Array.map (fun c -> (match c with
-    | C_int _ -> C_int [||]
-    | C_text _ -> C_text [||]
-    | C_float _ -> C_float [||]
-    | C_bool _ -> C_bool Bytes.empty)) t.cols;
-  t.cap <- 0;
-  t.len <- 0;
-  t.dense <- true;
-  IT.reset t.slots;
-  List.iter (fun idx -> IT.reset idx.buckets) t.indexes

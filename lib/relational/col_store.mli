@@ -27,7 +27,6 @@ val create : pk:int -> name:string -> Schema.t -> t
     messages). Raises [Invalid_argument] if column [pk] is not declared
     [T_int]. *)
 
-val schema : t -> Schema.t
 val cardinal : t -> int
 
 val insert : t -> Row.t -> unit
@@ -85,9 +84,3 @@ val column_ints : t -> int -> int array option
     themselves, text as {!Intern} ids, bools as 0/1; [None] for float
     columns. The bulk-read fast path for model construction over
     millions of rows. *)
-
-val clear : t -> unit
-
-val approx_bytes : t -> int
-(** Estimated live heap bytes of the store (column arrays, pk map,
-    indexes). Feeds the [storage.bytes_per_row] gauge. *)

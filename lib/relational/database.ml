@@ -40,4 +40,3 @@ let table db name =
 let tables db =
   Str_tbl.fold (fun _ t acc -> t :: acc) db []
   |> List.sort (fun a b -> String.compare (Table.name a) (Table.name b))
-let drop_table db name = Str_tbl.remove db name

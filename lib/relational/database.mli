@@ -16,6 +16,4 @@ val add_table : t -> Table.t -> unit
 val table : t -> string -> Table.t
 (** Raises [Not_found]. *)
 
-val table_opt : t -> string -> Table.t option
 val tables : t -> Table.t list
-val drop_table : t -> string -> unit

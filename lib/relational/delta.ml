@@ -21,21 +21,6 @@ let record_update d ~table ~old_row ~new_row =
 let for_table d table = Str_tbl.find_opt d table
 let tables d = Str_tbl.fold (fun name _ acc -> name :: acc) d []
 let is_empty d = Str_tbl.fold (fun _ b acc -> acc && Bag.is_empty b) d true
-let clear d = Str_tbl.reset d
-
-let signed_part ~sign d ~table =
-  let out = Bag.create () in
-  (match Str_tbl.find_opt d table with
-  | None -> ()
-  | Some b ->
-    Bag.iter
-      (fun row c ->
-        if sign * c > 0 then Bag.add ~count:(abs c) out row)
-      b);
-  out
-
-let plus d ~table = signed_part ~sign:1 d ~table
-let minus d ~table = signed_part ~sign:(-1) d ~table
 
 let total_magnitude d =
   Str_tbl.fold (fun _ b acc -> Bag.fold (fun _ c acc -> acc + abs c) b acc) d 0

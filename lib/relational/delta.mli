@@ -24,14 +24,6 @@ val for_table : t -> string -> Bag.t option
     may still be returned as an empty bag). *)
 
 val tables : t -> string list
-val clear : t -> unit
-
-val plus : t -> table:string -> Bag.t
-(** Rows with positive net count (the paper's Δ+ auxiliary table). *)
-
-val minus : t -> table:string -> Bag.t
-(** Rows with negative net count, returned with positive multiplicities
-    (the paper's Δ− auxiliary table). *)
 
 val total_magnitude : t -> int
 (** Sum of absolute net counts across all tables — the |Δ| in cost terms. *)

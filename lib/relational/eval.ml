@@ -1,7 +1,5 @@
 type rel = { schema : Schema.t; bag : Bag.t }
 
-let cardinality r = Bag.total r.bag
-
 module VH = Hashtbl.Make (struct
   type t = Value.t
 
@@ -280,10 +278,3 @@ and eval_node ~override db (q : Algebra.t) : rel =
       let out = Bag.create () in
       List.iter (fun (row, c) -> Bag.add ~count:c out row) rows;
       { r with bag = out })
-
-let eval_ordered ?override db q =
-  let r = eval ?override db q in
-  match q with
-  | Algebra.Order_by { keys; limit; child = _ } ->
-    (r, limit_rows limit (sorted_rows db keys r))
-  | _ -> (r, Bag.to_list r.bag)

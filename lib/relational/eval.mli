@@ -14,13 +14,6 @@ val eval : ?override:(string -> Bag.t option) -> Database.t -> Algebra.t -> rel
     their schema); the view-maintenance evaluator uses it to run the modified
     query [Q'(w, Δ)] of Eq. 6 with a delta in place of a base table. *)
 
-val cardinality : rel -> int
-(** Total rows with multiplicity. *)
-
-val eval_ordered : ?override:(string -> Bag.t option) -> Database.t -> Algebra.t -> rel * (Row.t * int) list
-(** Like {!eval} but also returns rows in output order: the [Order_by]
-    ordering when the plan root is an [Order_by], row order otherwise. *)
-
 val join_bags : ?pred:Expr.t -> Schema.t -> Schema.t -> Bag.t -> Bag.t -> rel
 (** Joins two row multisets (hash join when [pred] contains an equality pair,
     nested loops otherwise). Signed counts multiply, so this is usable on

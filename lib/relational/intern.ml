@@ -23,8 +23,6 @@ let mu = Mutex.create ()
 let tbl : int Str_tbl.t = Str_tbl.create 1024
 let m_interned = Obs.Metrics.gauge "storage.interned_strings"
 
-let count () = (Atomic.get published).len
-
 let find_opt s =
   Mutex.lock mu;
   let r = Str_tbl.find_opt tbl s in

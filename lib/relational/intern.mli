@@ -22,7 +22,7 @@
 
 val intern : string -> int
 (** [intern s] returns the id of [s], allocating a fresh one (the
-    current {!count}) on first sight. Idempotent: re-interning returns
+    number of strings interned so far) on first sight. Idempotent: re-interning returns
     the same id. *)
 
 val find_opt : string -> int option
@@ -38,7 +38,3 @@ val value : int -> Value.t
     boxed value per id, allocated when the string was interned — the
     per-sample decode path allocates nothing (lint rule R7). Raises
     [Invalid_argument] if [id] was never allocated. *)
-
-val count : unit -> int
-(** Number of distinct strings interned so far. Also exported as the
-    gauge [storage.interned_strings]. *)

@@ -3,9 +3,7 @@ module H = Row.Tbl
 type t = { pos : int array; entries : Bag.t H.t }
 
 let create ?(size = 64) pos = { pos; entries = H.create size }
-let positions t = t.pos
 let extract pos row = Array.map (fun i -> Row.get row i) pos
-let key t row = extract t.pos row
 
 let add ?(count = 1) t row =
   if count <> 0 then begin
@@ -32,6 +30,4 @@ let of_bag ?size pos bag =
 let probe t k = Option.value ~default:Bag.empty (H.find_opt t.entries k)
 let probe_value t v = probe t [| v |]
 let distinct_keys t = H.length t.entries
-let total_rows t = H.fold (fun _ b acc -> acc + Bag.distinct_cardinal b) t.entries 0
-let iter f t = H.iter f t.entries
 let clear t = H.reset t.entries

@@ -20,16 +20,10 @@ val create : ?size:int -> int array -> t
 val of_bag : ?size:int -> int array -> Bag.t -> t
 (** [of_bag pos b] indexes every row of [b] with its multiplicity. *)
 
-val positions : t -> int array
-(** The column positions this index keys by (do not mutate). *)
-
 val extract : int array -> Row.t -> Row.t
 (** [extract pos row] is the key of [row] under positions [pos] — usable
     with a {e different} position array than the index's own, which is how
     a probe row from the other side of a join is keyed. *)
-
-val key : t -> Row.t -> Row.t
-(** [key t row] is [extract (positions t) row]. *)
 
 val add : ?count:int -> t -> Row.t -> unit
 (** Add [count] (default 1, may be negative) of [row] under its key. *)
@@ -46,11 +40,5 @@ val probe_value : t -> Value.t -> Bag.t
 
 val distinct_keys : t -> int
 (** Number of keys with at least one (non-zero-count) row. *)
-
-val total_rows : t -> int
-(** Distinct rows summed over all keys. *)
-
-val iter : (Row.t -> Bag.t -> unit) -> t -> unit
-(** Iterate over (key, rows) entries. *)
 
 val clear : t -> unit

@@ -28,6 +28,3 @@ val reorder : Database.t -> Algebra.t -> Algebra.t
     or ambiguous column. Increments [optimizer.join_reorders] per
     cluster actually changed. Run after {!optimize}; the result is
     answer-equivalent to its input on every database. *)
-
-val exposed_aliases : Algebra.t -> string list
-(** Alias (or table-name) prefixes a subtree's columns may carry. *)

@@ -30,8 +30,6 @@ let hash (r : t) =
 let to_string r =
   "(" ^ String.concat ", " (List.map Value.to_string (Array.to_list r)) ^ ")"
 
-let pp fmt r = Format.pp_print_string fmt (to_string r)
-
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 

@@ -17,7 +17,6 @@ val append : t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Tbl : Hashtbl.S with type key = t

@@ -56,15 +56,6 @@ let index_of s name =
       | _ -> raise (Ambiguous_column name))
   end
 
-let mem s name =
-  (* An ambiguous name matched at least two columns, so it is present —
-     just not resolvable to a single position. [mem] answers presence;
-     only resolution ([index_of]) reports the ambiguity. *)
-  match index_of s name with
-  | _ -> true
-  | exception Not_found -> false
-  | exception Ambiguous_column _ -> true
-
 let names s = Array.to_list (Array.map (fun c -> c.name) s)
 
 let qualify alias s = Array.map (fun c -> { c with name = alias ^ "." ^ bare c.name }) s
@@ -97,13 +88,3 @@ let project s cols =
       projected
   in
   (projected, positions)
-
-let equal a b =
-  Int.equal (arity a) (arity b)
-  && Array.for_all2
-       (fun (x : column) y -> String.equal x.name y.name && Value.ty_equal x.ty y.ty)
-       a b
-
-let pp fmt s =
-  Format.fprintf fmt "(%s)"
-    (String.concat ", " (List.map (fun c -> c.name) (columns s)))

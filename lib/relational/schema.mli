@@ -26,12 +26,6 @@ val index_of : t -> string -> int
     Raises [Not_found] if absent and {!Ambiguous_column} if the name
     matches more than one column. *)
 
-val mem : t -> string -> bool
-(** Presence test. An ambiguous name is {e present} (it matched at least
-    two columns), so [mem] returns [true] for it even though [index_of]
-    raises {!Ambiguous_column} — resolution, not membership, is where
-    ambiguity is reported. *)
-
 val names : t -> string list
 
 val qualify : string -> t -> t
@@ -46,6 +40,3 @@ val project : t -> string list -> t * int array
 
 val bare : string -> string
 (** Suffix after the final ['.'], or the whole name. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

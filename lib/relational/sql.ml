@@ -21,8 +21,7 @@ type token =
 let keywords =
   [ "SELECT"; "FROM"; "WHERE"; "AND"; "OR"; "NOT"; "GROUP"; "BY"; "AS";
     "COUNT"; "SUM"; "AVG"; "MIN"; "MAX"; "DISTINCT"; "ORDER"; "LIMIT"; "ASC";
-    "DESC"; "IN"; "BETWEEN"; "LIKE"; "IS"; "NULL"; "HAVING"; "JOIN"; "INNER"; "ON";
-    "INSERT"; "INTO"; "VALUES"; "UPDATE"; "SET"; "DELETE" ]
+    "DESC"; "IN"; "BETWEEN"; "LIKE"; "IS"; "NULL"; "HAVING"; "JOIN"; "INNER"; "ON" ]
 
 let lex (src : string) : token list =
   let n = String.length src in
@@ -627,138 +626,3 @@ let parse src =
   let q = parse_query cur in
   (match peek cur with T_eof -> () | _ -> fail "trailing tokens after query");
   Optimizer.optimize (compile q)
-
-let run db src = Eval.eval db (parse src)
-
-
-(* ------------------------------------------------------------------ *)
-(* DML statements *)
-
-type statement =
-  | Query of Algebra.t
-  | Insert of { table : string; rows : Value.t list list }
-  | Update of { table : string; assignments : (string * Expr.t) list; where : Expr.t option }
-  | Delete of { table : string; where : Expr.t option }
-
-let parse_statement src =
-  let cur = { toks = lex src } in
-  let statement =
-    match peek cur with
-    | T_kw "SELECT" ->
-      let q = parse_query cur in
-      Query (Optimizer.optimize (compile q))
-    | T_kw "INSERT" ->
-      advance cur;
-      expect_kw cur "INTO";
-      let table = ident cur in
-      expect_kw cur "VALUES";
-      let rec rows acc =
-        expect cur T_lparen "(";
-        let rec values acc =
-          let v = parse_literal cur in
-          if peek_is cur T_comma then (advance cur; values (v :: acc)) else List.rev (v :: acc)
-        in
-        let row = values [] in
-        expect cur T_rparen ")";
-        if peek_is cur T_comma then (advance cur; rows (row :: acc)) else List.rev (row :: acc)
-      in
-      Insert { table; rows = rows [] }
-    | T_kw "UPDATE" ->
-      advance cur;
-      let table = ident cur in
-      expect_kw cur "SET";
-      let rec assignments acc =
-        let col = ident cur in
-        expect cur (T_op "=") "=";
-        let e = operand_expr (parse_operand cur) in
-        if peek_is cur T_comma then (advance cur; assignments ((col, e) :: acc))
-        else List.rev ((col, e) :: acc)
-      in
-      let assignments = assignments [] in
-      let where =
-        if peek_is cur (T_kw "WHERE") then (advance cur; Some (cond_expr (parse_cond cur))) else None
-      in
-      Update { table; assignments; where }
-    | T_kw "DELETE" ->
-      advance cur;
-      expect_kw cur "FROM";
-      let table = ident cur in
-      let where =
-        if peek_is cur (T_kw "WHERE") then (advance cur; Some (cond_expr (parse_cond cur))) else None
-      in
-      Delete { table; where }
-    | _ -> fail "expected SELECT, INSERT, UPDATE or DELETE"
-  in
-  (match peek cur with T_eof -> () | _ -> fail "trailing tokens after statement");
-  statement
-
-let execute ?delta db src =
-  let record_update table ~old_row ~new_row =
-    match delta with
-    | None -> ()
-    | Some d -> Delta.record_update d ~table ~old_row ~new_row
-  in
-  match parse_statement src with
-  | Query _ -> fail "execute expects a DML statement; use run for queries"
-  | Insert { table; rows } ->
-    let t = Database.table db table in
-    List.iter
-      (fun values ->
-        let row = Row.make values in
-        Table.insert t row;
-        match delta with
-        | None -> ()
-        | Some d -> Delta.record_insert d ~table:(Table.name t) row)
-      rows;
-    List.length rows
-  | Update { table; assignments; where } ->
-    let t = Database.table db table in
-    let schema = Table.schema t in
-    let keep =
-      match where with None -> fun _ -> true | Some p -> Expr.bind_pred schema p
-    in
-    let setters =
-      List.map
-        (fun (col, e) -> (Schema.index_of schema col, Expr.bind schema e))
-        assignments
-    in
-    (* Materialize the targets first: mutating while iterating is unsound. *)
-    let targets =
-      Bag.fold (fun row c acc -> if keep row then (row, c) :: acc else acc) (Table.rows t) []
-    in
-    let affected = ref 0 in
-    List.iter
-      (fun (old_row, count) ->
-        let new_row =
-          List.fold_left (fun r (i, f) -> Row.set r i (f old_row)) old_row setters
-        in
-        if not (Row.equal old_row new_row) then
-          for _ = 1 to count do
-            Table.delete t old_row;
-            Table.insert t new_row;
-            record_update (Table.name t) ~old_row ~new_row;
-            incr affected
-          done)
-      targets;
-    !affected
-  | Delete { table; where } ->
-    let t = Database.table db table in
-    let schema = Table.schema t in
-    let keep =
-      match where with None -> fun _ -> true | Some p -> Expr.bind_pred schema p
-    in
-    let targets =
-      Bag.fold (fun row c acc -> if keep row then (row, c) :: acc else acc) (Table.rows t) []
-    in
-    let affected = ref 0 in
-    List.iter
-      (fun (row, count) ->
-        for _ = 1 to count do
-          Table.delete t row;
-          (match delta with
-          | None -> ()
-          | Some d -> Delta.record_delete d ~table:(Table.name t) row);
-          incr affected
-        done)
-      targets;
-    !affected

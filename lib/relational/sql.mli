@@ -25,25 +25,3 @@ exception Parse_error of string
 val parse : string -> Algebra.t
 (** Parses and compiles to algebra (selections pushed down; products with
     equality predicates become joins). Raises {!Parse_error}. *)
-
-val run : Database.t -> string -> Eval.rel
-(** Convenience: parse then fully evaluate. *)
-
-type statement =
-  | Query of Algebra.t
-  | Insert of { table : string; rows : Value.t list list }
-  | Update of { table : string; assignments : (string * Expr.t) list; where : Expr.t option }
-  | Delete of { table : string; where : Expr.t option }
-
-val parse_statement : string -> statement
-(** Queries plus DML:
-    {v
-    INSERT INTO t VALUES (v, ...) [, (v, ...)]*
-    UPDATE t SET col = expr [, col = expr]* [WHERE cond]
-    DELETE FROM t [WHERE cond]
-    v} *)
-
-val execute : ?delta:Delta.t -> Database.t -> string -> int
-(** Executes a DML statement, returning the number of affected rows and
-    recording all changes in [delta] when given (so materialized views can
-    follow). Raises [Parse_error] when handed a plain query. *)

@@ -143,11 +143,6 @@ let update_field_by_pk t key ~column v =
 
 let rows t = match t.store with Boxed b -> b.rows | Columnar c -> Col_store.to_bag c
 
-let iter f t =
-  match t.store with
-  | Boxed b -> Bag.iter f b.rows
-  | Columnar c -> Col_store.iter (fun row -> f row 1) c
-
 let create_index t column =
   let col = Schema.index_of t.schema column in
   match t.store with
@@ -195,11 +190,3 @@ let lookup t ~column v =
 let column_ints t column =
   let col = Schema.index_of t.schema column in
   match t.store with Boxed _ -> None | Columnar c -> Col_store.column_ints c col
-
-let clear t =
-  match t.store with
-  | Columnar c -> Col_store.clear c
-  | Boxed b ->
-    Bag.clear b.rows;
-    VH.reset b.by_pk;
-    List.iter (fun idx -> Key_index.clear idx.entries) b.indexes

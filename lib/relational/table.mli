@@ -54,10 +54,6 @@ val cell_by_pk : t -> Value.t -> pos:int -> Value.t option
     columnar storage this reads the one cell without decoding the row,
     which is what the sampler's field reads want. *)
 
-val update_by_pk : t -> Value.t -> Row.t -> Row.t
-(** [update_by_pk t k row] replaces the row keyed [k] with [row] (which must
-    carry the same key) and returns the replaced row. *)
-
 val update_field_by_pk : t -> Value.t -> column:string -> Value.t -> Row.t * Row.t
 (** Point update of one field; returns [(old_row, new_row)]. *)
 
@@ -72,8 +68,6 @@ val column_ints : t -> string -> int array option
     ids, bools as 0/1. [None] on the boxed backend and for float
     columns. The bulk-read fast path model construction uses to avoid
     decoding millions of rows. *)
-
-val iter : (Row.t -> int -> unit) -> t -> unit
 
 val create_index : t -> string -> unit
 (** Builds (or rebuilds) a hash index on the named column. *)
@@ -91,5 +85,3 @@ val distinct_keys : t -> string -> int option
 val lookup : t -> column:string -> Value.t -> Bag.t
 (** Index lookup; raises [Invalid_argument] if no index exists on [column].
     The returned bag must not be mutated. *)
-
-val clear : t -> unit

@@ -7,13 +7,6 @@ type t =
 
 type ty = T_int | T_float | T_bool | T_text
 
-let type_of = function
-  | Null -> None
-  | Int _ -> Some T_int
-  | Float _ -> Some T_float
-  | Bool _ -> Some T_bool
-  | Text _ -> Some T_text
-
 let rank = function
   | Null -> 0
   | Bool _ -> 1
@@ -32,11 +25,6 @@ let compare a b =
   | (Null | Int _ | Float _ | Bool _ | Text _), _ -> Int.compare (rank a) (rank b)
 
 let equal a b = compare a b = 0
-
-let ty_equal a b =
-  match a, b with
-  | T_int, T_int | T_float, T_float | T_bool, T_bool | T_text, T_text -> true
-  | (T_int | T_float | T_bool | T_text), _ -> false
 
 (* [hash] must agree with [compare]'s numeric equivalences:
    - [Int n] and [Float f] with [compare (Int n) (Float f) = 0] collide

@@ -19,18 +19,11 @@ type t =
 
 type ty = T_int | T_float | T_bool | T_text
 
-val type_of : t -> ty option
-(** [type_of v] is the runtime type of [v], or [None] for [Null]. *)
-
 val compare : t -> t -> int
 (** Total order. [Null] sorts first; [Int] and [Float] compare numerically
     against each other; distinct non-numeric types compare by type rank. *)
 
 val equal : t -> t -> bool
-
-val ty_equal : ty -> ty -> bool
-(** Explicit equality on declared column types (lint rule R1 bans the
-    polymorphic [=] even on this immediate type). *)
 
 val hash : t -> int
 (** Keyed hash compatible with {!equal}: numeric [Int n] and [Float f]

@@ -96,9 +96,8 @@ and cj_info = {
   child_idx : Key_index.t; (* child rows keyed by the [key] column *)
 }
 
-type t = { db : Database.t; alg : Algebra.t; root : node; mutable vschema : Schema.t }
+type t = { db : Database.t; alg : Algebra.t; root : node }
 
-let schema v = v.vschema
 let result v = v.root.current
 let algebra v = v.alg
 
@@ -682,14 +681,12 @@ and reset_kind db node : unit =
       child_bag;
     node.current <- out
 
-let refresh v = reset_node ~force:true v.db v.root
-
 let create ?cache db alg =
   let root = build_shell ?cache db alg in
   mark_owned_scans db root;
   mark_scan_owned db root;
   reset_node db root;
-  { db; alg; root; vschema = root.schema }
+  { db; alg; root }
 
 (* Drop one parent reference from every cache entry the view's plan
    acquired at build time. An entry whose count reaches zero has no
@@ -797,4 +794,4 @@ let of_states ?cache db alg states =
   | [] -> ()
   | _ :: _ -> failwith "View.of_states: too many node states for this plan");
   rebuild_aux db root;
-  { db; alg; root; vschema = root.schema }
+  { db; alg; root }

@@ -64,8 +64,6 @@ val release : cache -> t -> unit
     {!create}. Required when unregistering a cache-built view; harmless
     for views the cache never saw. *)
 
-val schema : t -> Schema.t
-
 val result : t -> Bag.t
 (** Current answer with multiplicities. Do not mutate. *)
 
@@ -75,9 +73,6 @@ val update : t -> Delta.t -> unit
 
     Raises [Failure] if maintenance drives some count negative — that would
     mean the delta disagrees with the database state the view believes in. *)
-
-val refresh : t -> unit
-(** Recomputes the view from scratch (used to re-anchor, and by tests). *)
 
 val algebra : t -> Algebra.t
 

@@ -70,8 +70,6 @@ type t = {
   mutable bootstraps_this_tick : int;
 }
 
-let shutting_down t = t.shutdown
-let client_count t = List.length t.clients
 let samples t = Registry.samples t.reg
 let rejected t = t.rejected
 let coalesced t = t.coalesced

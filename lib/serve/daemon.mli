@@ -99,16 +99,12 @@ val run : t -> unit
     timeout per tick is 0 while sampling is active and 50 ms once the
     chain is idle at [max_samples]. *)
 
-val shutting_down : t -> bool
-(** True once a [shutdown] frame has been accepted. *)
-
 val close : t -> unit
 (** Force-release sockets (listener + clients) without a checkpoint —
     the SIGKILL-adjacent path tests use; {!run} already closes cleanly. *)
 
 (** {1 Introspection} (the counters behind {!Protocol.Stats_reply}) *)
 
-val client_count : t -> int
 val samples : t -> int
 val rejected : t -> int
 (** Admission rejections of any kind (clients, plans, bootstraps). *)

@@ -43,6 +43,7 @@ val cadence : t -> int -> int
 (** Samples between updates for query [q]: [1] = dense. Untracked
     queries are dense. Always ≥ 1 and ≤ [max_thin]. *)
 
+(* pdb_lint: allow R11 — test hook: the window's (ess, rhat), which no public call reports *)
 val diagnostics : t -> int -> (float * float) option
 (** [(ess, rhat)] over the current window, exactly as {!cadence} sees
     them ([None] if untracked) — exposed so tests can pin the

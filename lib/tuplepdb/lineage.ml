@@ -6,8 +6,6 @@ type t =
   | Or of t list
   | Not of t
 
-let tru = Tru
-let fls = Fls
 let var i = Var i
 
 let conj fs =

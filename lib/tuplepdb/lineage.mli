@@ -12,8 +12,6 @@ type t =
   | Or of t list
   | Not of t
 
-val tru : t
-val fls : t
 val var : int -> t
 val conj : t list -> t
 (** Flattens nested conjunctions and drops units; [conj []] is {!Tru}. *)

@@ -9,14 +9,12 @@ type t = {
   tables : (string, table) Hashtbl.t;
   mutable probs : float array;
   mutable n_events : int;
-  row_events : (string * Row.t, int) Hashtbl.t;
 }
 
 type answer = { row : Row.t; lineage : Lineage.t }
 
 let create () =
-  { tables = Hashtbl.create 8; probs = Array.make 64 0.; n_events = 0;
-    row_events = Hashtbl.create 64 }
+  { tables = Hashtbl.create 8; probs = Array.make 64 0.; n_events = 0 }
 
 let fresh_event t p =
   if p < 0. || p > 1. then invalid_arg "Tipdb: probability out of [0,1]";
@@ -33,16 +31,10 @@ let fresh_event t p =
 let add_table t ~name schema rows =
   if Hashtbl.mem t.tables name then invalid_arg ("Tipdb.add_table: duplicate " ^ name);
   let rows =
-    List.map
-      (fun (row, p) ->
-        let ev = fresh_event t p in
-        Hashtbl.replace t.row_events (name, row) ev;
-        (row, ev))
-      rows
+    List.map (fun (row, p) -> (row, fresh_event t p)) rows
   in
   Hashtbl.replace t.tables name { schema; rows }
 
-let event_of_row t ~table row = Hashtbl.find t.row_events (table, row)
 let probability_of_event t ev = t.probs.(ev)
 
 module RH = Hashtbl.Make (struct

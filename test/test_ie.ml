@@ -9,6 +9,14 @@ open Ie
 let feq ?(eps = 1e-9) msg a b =
   if abs_float (a -. b) > eps then Alcotest.failf "%s: expected %.12g, got %.12g" msg a b
 
+(* BIO validity of a whole sequence: every transition valid. *)
+let valid_sequence ls =
+  let rec go prev = function
+    | [] -> true
+    | l :: rest -> Labels.valid_transition ~prev l && go (Some l) rest
+  in
+  go None ls
+
 (* ------------------------------------------------------------------ *)
 (* Labels *)
 
@@ -45,8 +53,8 @@ let test_labels_segments () =
 
 let test_labels_valid_sequence () =
   Alcotest.(check bool) "hillary clinton" true
-    (Labels.valid_sequence [ Labels.B Per; Labels.O; Labels.B Per; Labels.I Per; Labels.O ]);
-  Alcotest.(check bool) "orphan I" false (Labels.valid_sequence [ Labels.O; Labels.I Per ])
+    (valid_sequence [ Labels.B Per; Labels.O; Labels.B Per; Labels.I Per; Labels.O ]);
+  Alcotest.(check bool) "orphan I" false (valid_sequence [ Labels.O; Labels.I Per ])
 
 (* ------------------------------------------------------------------ *)
 (* Corpus *)
@@ -61,7 +69,7 @@ let test_corpus_truth_valid_bio () =
   List.iter
     (fun { Corpus.tokens; _ } ->
       let seq = Array.to_list (Array.map (fun t -> t.Corpus.truth) tokens) in
-      if not (Labels.valid_sequence seq) then Alcotest.fail "invalid truth BIO sequence")
+      if not (valid_sequence seq) then Alcotest.fail "invalid truth BIO sequence")
     (Corpus.generate ~seed:4 ())
 
 let test_corpus_target_size () =
@@ -103,7 +111,7 @@ let test_token_table_load () =
   let t = Token_table.load db docs in
   Alcotest.(check int) "all tokens loaded" (Corpus.total_tokens docs) (Relational.Table.cardinal t);
   (* Every LABEL starts at "O". *)
-  let res = Relational.Sql.run db "SELECT COUNT(*) FROM TOKEN WHERE LABEL='O'" in
+  let res = Relational.Eval.eval db @@ Relational.Sql.parse "SELECT COUNT(*) FROM TOKEN WHERE LABEL='O'" in
   Alcotest.(check bool) "labels initialized to O" true
     (Relational.Bag.mem res.Relational.Eval.bag (Relational.Row.make [ Relational.Value.Int (Corpus.total_tokens docs) ]))
 
@@ -165,10 +173,8 @@ let test_crf_accuracy_truth () =
   let docs = one_doc [ "Bill"; "ran" ] [ Labels.B Per; Labels.O ] in
   let _, crf = mk_crf docs in
   feq "initial accuracy" 0.5 (Crf.accuracy crf);
-  Crf.set_labels_to_truth crf;
-  feq "truth accuracy" 1.0 (Crf.accuracy crf);
-  Crf.reset_labels crf;
-  Alcotest.(check bool) "reset to O" true (Crf.label crf 0 = Labels.O)
+  Crf.set_label crf ~pos:0 (Labels.B Per);
+  feq "truth accuracy" 1.0 (Crf.accuracy crf)
 
 let test_crf_skip_partners () =
   let docs =
@@ -210,7 +216,7 @@ let test_bio_proposer_stays_valid () =
       for d = 0 to Crf.n_docs crf - 1 do
         let first, stop = Crf.doc_token_range crf d in
         let seq = List.init (stop - first) (fun i -> Crf.label crf (first + i)) in
-        if not (Labels.valid_sequence seq) then
+        if not (valid_sequence seq) then
           Alcotest.failf "invalid BIO sequence in doc %d at step %d" d step
       done
   done
@@ -326,7 +332,7 @@ let test_coref_db_write_through () =
   ignore world;
   Coref.set_cluster coref ~mention:1 ~cluster:0;
   let res =
-    Relational.Sql.run db "SELECT mention_id FROM MENTION WHERE cluster=0"
+    Relational.Eval.eval db @@ Relational.Sql.parse "SELECT mention_id FROM MENTION WHERE cluster=0"
   in
   Alcotest.(check int) "two mentions in cluster 0" 2
     (Relational.Bag.total res.Relational.Eval.bag)
@@ -335,10 +341,9 @@ let test_coref_clusters_view () =
   let db = Relational.Database.create () in
   let _, coref = Coref.load db ~strings:coref_strings in
   Coref.set_cluster coref ~mention:1 ~cluster:0;
-  let cs = Coref.clusters coref in
-  Alcotest.(check bool) "cluster 0 has mentions 0,1" true
-    (List.assoc 0 cs = [ 0; 1 ]);
-  Alcotest.(check int) "three clusters" 3 (List.length cs)
+  let cs = List.init (Array.length coref_strings) (Coref.cluster_of coref) in
+  Alcotest.(check (list int)) "mentions 0,1 in cluster 0" [ 0; 0; 2; 3 ] cs;
+  Alcotest.(check int) "three clusters" 3 (List.length (List.sort_uniq Int.compare cs))
 
 
 (* ------------------------------------------------------------------ *)
@@ -433,10 +438,21 @@ let test_chain_inference_decode () =
   ignore (Token_table.load db docs : Relational.Table.t);
   let world = Core.World.create db in
   let crf = Crf.create ~skip_edges:false ~params:(Crf.default_params ()) world in
-  Chain_inference.decode crf;
+  (* Posterior decoding: each token takes its most probable label. *)
+  let argmax p =
+    let best = ref 0 in
+    Array.iteri (fun l x -> if x > p.(!best) then best := l) p;
+    !best
+  in
+  for doc = 0 to Crf.n_docs crf - 1 do
+    let first, _ = Crf.doc_token_range crf doc in
+    Array.iteri
+      (fun i p -> Crf.set_label crf ~pos:(first + i) (Labels.of_index (argmax p)))
+      (Chain_inference.marginals crf ~doc)
+  done;
   (* The hand-built weights should decode most tokens correctly. *)
   Alcotest.(check bool)
-    (Printf.sprintf "viterbi accuracy high (%.3f)" (Crf.accuracy crf))
+    (Printf.sprintf "decoding accuracy high (%.3f)" (Crf.accuracy crf))
     true
     (Crf.accuracy crf > 0.9)
 
@@ -470,47 +486,6 @@ let test_metrics_empty () =
   let s = Metrics.score ~gold:[| Labels.O |] ~predicted:[| Labels.O |] in
   feq "empty/empty precision" 1. s.Metrics.precision;
   feq "empty/empty recall" 1. s.recall
-
-(* ------------------------------------------------------------------ *)
-(* Annotator (the Stanford-NER substitute) *)
-
-let test_annotator_basic () =
-  let tokens = [| "Bill"; "Clinton"; "visited"; "IBM"; "corp"; "in"; "Boston" |] in
-  let labels = Annotator.annotate tokens in
-  Alcotest.(check bool) "person" true (labels.(0) = Labels.B Per && labels.(1) = Labels.I Per);
-  Alcotest.(check bool) "org with suffix" true (labels.(3) = Labels.B Org && labels.(4) = Labels.I Org);
-  Alcotest.(check bool) "bare city is LOC" true (labels.(6) = Labels.B Loc);
-  Alcotest.(check bool) "filler is O" true (labels.(2) = Labels.O && labels.(5) = Labels.O)
-
-let test_annotator_city_org () =
-  let labels = Annotator.annotate [| "Boston"; "corp" |] in
-  Alcotest.(check bool) "city+suffix is ORG" true
-    (labels.(0) = Labels.B Org && labels.(1) = Labels.I Org)
-
-let test_annotator_close_to_truth () =
-  (* The generator draws from the same lexicons, so the annotator should
-     recover most of the generated truth — like using an external NER system
-     for ground truth (paper footnote 1). *)
-  let docs = Corpus.generate ~params:{ Corpus.default_params with n_docs = 10 } ~seed:77 () in
-  let estimated = Annotator.annotate_docs docs in
-  let agree = ref 0 and total = ref 0 in
-  List.iter2
-    (fun { Corpus.tokens = t1; _ } { Corpus.tokens = t2; _ } ->
-      Array.iteri
-        (fun i tok ->
-          incr total;
-          if tok.Corpus.truth = t2.(i).Corpus.truth then incr agree)
-        t1)
-    docs estimated;
-  let rate = float_of_int !agree /. float_of_int !total in
-  Alcotest.(check bool) (Printf.sprintf "annotator agreement %.3f" rate) true (rate > 0.85)
-
-let test_annotator_noise () =
-  let tokens = Array.make 500 "the" in
-  let noisy = Annotator.annotate ~noise:0.2 ~seed:3 tokens in
-  let flipped = Array.to_list noisy |> List.filter (fun l -> l <> Labels.O) |> List.length in
-  Alcotest.(check bool) "noise flips roughly 20%" true (flipped > 50 && flipped < 160)
-
 
 (* ------------------------------------------------------------------ *)
 (* Generative (MCDB-style) evaluation on linear chains *)
@@ -782,11 +757,6 @@ let () =
          Alcotest.test_case "boundary-error" `Quick test_metrics_boundary_error;
          Alcotest.test_case "type-error" `Quick test_metrics_type_error;
          Alcotest.test_case "empty" `Quick test_metrics_empty ]);
-      ("annotator",
-       [ Alcotest.test_case "basic" `Quick test_annotator_basic;
-         Alcotest.test_case "city-org" `Quick test_annotator_city_org;
-         Alcotest.test_case "close-to-truth" `Quick test_annotator_close_to_truth;
-         Alcotest.test_case "noise" `Quick test_annotator_noise ]);
       ("generative",
        [ Alcotest.test_case "matches-exact" `Slow test_generative_matches_exact;
          Alcotest.test_case "rejects-skip" `Quick test_generative_rejects_skip_chain ]);

@@ -1,6 +1,6 @@
 (* Tests for the MCMC library: reproducible RNG, MH correctness against
-   exact marginals, Gibbs proposals, chains with thinning, SampleRank
-   learning, parallel execution, and diagnostics. *)
+   exact marginals, proposal mixtures, SampleRank learning, parallel
+   execution, and diagnostics. *)
 
 open Factorgraph
 open Mcmc
@@ -18,7 +18,7 @@ let test_rng_deterministic () =
 
 let test_rng_split_independent () =
   let r = Rng.create 5 in
-  let a = Rng.split r and b = Rng.split r in
+  let a = Prng.split r and b = Prng.split r in
   let seq r = List.init 20 (fun _ -> Rng.int r 1000) in
   Alcotest.(check bool) "split streams differ" true (seq a <> seq b)
 
@@ -44,7 +44,8 @@ let test_rng_shuffle_permutation () =
 let test_split_siblings_no_first_draw_collision () =
   List.iter
     (fun seed ->
-      let rngs = Parallel.split_rngs (Rng.create seed) 32 in
+      let parent = Rng.create seed in
+      let rngs = Array.init 32 (fun _ -> Prng.split parent) in
       let firsts = Array.to_list (Array.map (fun r -> Rng.int r 1_000_000_000) rngs) in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: 32 distinct first draws" seed)
@@ -90,28 +91,15 @@ let test_mh_matches_exact () =
   let est = empirical_marginal rng (Graph_model.flip ()) world x ~burn:2000 ~samples:20_000 ~thin:5 in
   feq ~eps:0.02 "flip proposal converges" exact est
 
-let test_gibbs_matches_exact () =
-  let g, x, _ = two_var_graph () in
-  let world = Graph_model.world_of g in
-  let exact = (List.assoc x (Exact.marginals g world.assignment)).(1) in
-  let rng = Rng.create 43 in
-  let est = empirical_marginal rng (Graph_model.gibbs ()) world x ~burn:2000 ~samples:20_000 ~thin:5 in
-  feq ~eps:0.02 "gibbs converges" exact est
-
-let test_gibbs_always_accepts () =
-  let g, _, _ = two_var_graph () in
-  let world = Graph_model.world_of g in
-  let rng = Rng.create 44 in
-  let stats = Metropolis.fresh_stats () in
-  Metropolis.run ~stats rng (Graph_model.gibbs ()) world ~steps:2000;
-  feq ~eps:1e-12 "acceptance = 1" 1.0 (Metropolis.acceptance_rate stats)
-
 let test_mix_proposal () =
-  let g, x, _ = two_var_graph () in
+  let g, x, y = two_var_graph () in
   let world = Graph_model.world_of g in
   let exact = (List.assoc x (Exact.marginals g world.assignment)).(1) in
   let rng = Rng.create 45 in
-  let p = Proposal.mix [| (0.5, Graph_model.flip ()); (0.5, Graph_model.gibbs ()) |] in
+  let p =
+    Proposal.mix
+      [| (0.5, Graph_model.flip ~vars:[| x |] ()); (0.5, Graph_model.flip ~vars:[| y |] ()) |]
+  in
   let est = empirical_marginal rng p world x ~burn:2000 ~samples:20_000 ~thin:5 in
   feq ~eps:0.02 "mixture converges" exact est
 
@@ -122,19 +110,6 @@ let test_restricted_vars_proposal () =
   (* Only allow flips of x: y must never change. *)
   Metropolis.run rng (Graph_model.flip ~vars:[| x |] ()) world ~steps:500;
   Alcotest.(check int) "y untouched" 0 (Assignment.get world.assignment y)
-
-(* ------------------------------------------------------------------ *)
-(* Chain *)
-
-let test_chain_thinning () =
-  let g, _, _ = two_var_graph () in
-  let world = Graph_model.world_of g in
-  let chain = Chain.create ~rng:(Rng.create 7) ~proposal:(Graph_model.flip ()) world in
-  let observed = ref 0 in
-  Chain.sample chain ~thin:10 ~samples:25 (fun _ -> incr observed);
-  Alcotest.(check int) "callback count" 25 !observed;
-  Alcotest.(check int) "total steps" 250 (Chain.steps_taken chain);
-  Alcotest.(check bool) "acceptance tracked" true (Chain.acceptance_rate chain > 0.)
 
 (* ------------------------------------------------------------------ *)
 (* SampleRank: learn to label tokens from a lexicon-free truth signal. *)
@@ -148,22 +123,45 @@ let test_samplerank_learns () =
     Templates.unroll_chain ~params ~label_domain ~tokens ()
   in
   let rng = Rng.create 17 in
+  let label_at i = Domain.value label_domain (Assignment.get assignment labels.(i)) in
+  (* The features of the factors adjacent to position i with label l there,
+     under Templates' feature names: emission, shape, bias, transitions. *)
+  let local_features i l =
+    let lab j = if j = i then l else label_at j in
+    let left = if i > 0 then [ (Templates.transition_feature (lab (i - 1)) l, 1.) ] else [] in
+    let right =
+      if i + 1 < Array.length tokens then [ (Templates.transition_feature l (lab (i + 1)), 1.) ]
+      else []
+    in
+    [ (Templates.emission_feature tokens.(i) l, 1.);
+      (Templates.shape_feature tokens.(i) l, 1.);
+      (Templates.bias_feature l, 1.) ]
+    @ left @ right
+  in
+  let position v =
+    let idx = ref (-1) in
+    Array.iteri (fun i l -> if l = v then idx := i) labels;
+    !idx
+  in
+  let delta_features (v, value) =
+    let i = position v in
+    local_features i (Domain.value label_domain value)
+    @ List.map (fun (k, x) -> (k, -.x)) (local_features i (label_at i))
+  in
   let propose r =
     let i = Rng.int r (Array.length labels) in
     (labels.(i), Rng.int r 2)
   in
   let objective_delta (v, value) =
     (* +1 if the change fixes a label, −1 if it breaks one *)
-    let idx = ref (-1) in
-    Array.iteri (fun i l -> if l = v then idx := i) labels;
-    let target = truth.(!idx) in
+    let target = truth.(position v) in
     let old_v = Assignment.get assignment v in
     let score x = if x = target then 1 else 0 in
     float_of_int (score value - score old_v)
   in
   let spec =
     { Samplerank.propose;
-      delta_features = (fun (v, value) -> Graph.delta_features graph assignment [ (v, value) ]);
+      delta_features;
       delta_objective = objective_delta;
       apply = (fun (v, value) -> Assignment.set assignment v value) }
   in
@@ -264,7 +262,8 @@ let test_parallel_chains_reduce_error () =
   let g, x, _ = two_var_graph () in
   let truth = (List.assoc x (Exact.marginals g (Graph.new_assignment g))).(1) in
   let estimate ~chains ~seed =
-    let rngs = Parallel.split_rngs (Rng.create seed) chains in
+    let parent = Rng.create seed in
+    let rngs = Array.init chains (fun _ -> Prng.split parent) in
     let ests =
       Parallel.map ~n:chains (fun i ->
           let world = Graph_model.world_of g in
@@ -295,40 +294,6 @@ let test_diagnostics_ess () =
   Alcotest.(check bool) "alternating ESS high" true (Diagnostics.effective_sample_size alt >= 99.);
   Alcotest.(check bool) "trending ESS low" true (Diagnostics.effective_sample_size trend < 20.)
 
-let test_diagnostics_squared_error () =
-  feq "sq err" 5. (Diagnostics.squared_error [| 0.; 1. |] [| 1.; 3. |])
-
-
-(* ------------------------------------------------------------------ *)
-(* Annealing *)
-
-let test_annealing_finds_map () =
-  (* A strongly coupled chain whose MAP is all-true; annealing should land
-     there from the all-false start. *)
-  let g = Graph.create () in
-  let d = Domain.boolean in
-  let vars = Array.init 6 (fun _ -> Graph.add_variable g d) in
-  Array.iter (fun v -> ignore (Graph.add_table_factor g ~scope:[| v |] [| 0.; 0.4 |])) vars;
-  for i = 0 to 4 do
-    ignore (Graph.add_table_factor g ~scope:[| vars.(i); vars.(i + 1) |] [| 1.; 0.; 0.; 1. |])
-  done;
-  let world = Graph_model.world_of g in
-  let rng = Rng.create 77 in
-  Annealing.run ~schedule:(Annealing.geometric_schedule ~t0:2. ~alpha:0.999) rng
-    (Graph_model.flip ()) world ~steps:8_000;
-  Array.iter
-    (fun v -> Alcotest.(check int) "annealed to MAP" 1 (Assignment.get world.assignment v))
-    vars
-
-let test_annealing_schedules () =
-  Alcotest.(check bool) "geometric decreasing" true
-    (Annealing.geometric_schedule ~t0:2. ~alpha:0.9 10
-    < Annealing.geometric_schedule ~t0:2. ~alpha:0.9 1);
-  Alcotest.(check bool) "linear floor" true (Annealing.linear_schedule ~t0:1. ~steps:10 20 > 0.);
-  Alcotest.(check bool) "geometric floor" true
-    (Annealing.geometric_schedule ~t0:1. ~alpha:0.1 1000 > 0.)
-
-
 let test_gelman_rubin () =
   let rand = Prng.of_seeds [| 12 |] in
   let noise () = Array.init 500 (fun _ -> Prng.float rand 1.) in
@@ -352,11 +317,8 @@ let () =
          Alcotest.test_case "split-no-collision" `Quick test_split_siblings_no_first_draw_collision ]);
       ("metropolis",
        [ Alcotest.test_case "matches-exact" `Slow test_mh_matches_exact;
-         Alcotest.test_case "gibbs-matches-exact" `Slow test_gibbs_matches_exact;
-         Alcotest.test_case "gibbs-accepts" `Quick test_gibbs_always_accepts;
          Alcotest.test_case "mixture" `Slow test_mix_proposal;
          Alcotest.test_case "restricted-vars" `Quick test_restricted_vars_proposal ]);
-      ("chain", [ Alcotest.test_case "thinning" `Quick test_chain_thinning ]);
       ("samplerank", [ Alcotest.test_case "learns" `Slow test_samplerank_learns ]);
       ("parallel",
        [ Alcotest.test_case "map-order" `Quick test_parallel_map_order;
@@ -365,11 +327,7 @@ let () =
          Alcotest.test_case "poison-job" `Quick test_parallel_map_poison_job;
          Alcotest.test_case "failure-stops-siblings" `Quick test_parallel_map_stops_siblings;
          Alcotest.test_case "chains-reduce-error" `Slow test_parallel_chains_reduce_error ]);
-      ("annealing",
-       [ Alcotest.test_case "finds-map" `Quick test_annealing_finds_map;
-         Alcotest.test_case "schedules" `Quick test_annealing_schedules ]);
       ("diagnostics",
        [ Alcotest.test_case "basics" `Quick test_diagnostics_basics;
          Alcotest.test_case "ess" `Quick test_diagnostics_ess;
-         Alcotest.test_case "squared-error" `Quick test_diagnostics_squared_error;
          Alcotest.test_case "gelman-rubin" `Quick test_gelman_rubin ]) ]

@@ -1,5 +1,5 @@
 (* Tests for the observability layer: histogram bucketing, registry
-   merging, determinism of counters under parallel (multi-domain) updates,
+   reset, determinism of counters under parallel (multi-domain) updates,
    trace ring behaviour, snapshot JSON, and the headline regression — the
    materialized evaluator's per-step delta is small relative to the table
    it maintains a view over. *)
@@ -7,6 +7,12 @@
 let with_metrics f =
   Obs.Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) f
+
+(* A counter's current value, read through the registry snapshot. *)
+let counter_value reg name =
+  match Obs.Metrics.find reg name with
+  | Some (Obs.Metrics.Counter n) -> n
+  | _ -> Alcotest.failf "no counter %s" name
 
 (* ------------------------------------------------------------------ *)
 (* Histogram bucketing *)
@@ -68,47 +74,36 @@ let test_disabled_is_noop () =
   Obs.Metrics.incr c;
   Obs.Metrics.add c 42;
   Obs.Metrics.observe h 7;
-  Alcotest.(check int) "counter untouched" 0 (Obs.Metrics.counter_value c);
+  Alcotest.(check int) "counter untouched" 0 (counter_value reg "t.c");
   Alcotest.(check int) "histogram untouched" 0 (Obs.Metrics.hist_count h)
 
 (* ------------------------------------------------------------------ *)
-(* Registries: find-or-create, kind mismatch, merge, reset *)
+(* Registries: find-or-create, kind mismatch, reset *)
 
 let test_intern_semantics () =
   let reg = Obs.Metrics.create () in
   let a = Obs.Metrics.counter ~reg "same.name" in
   let b = Obs.Metrics.counter ~reg "same.name" in
-  with_metrics (fun () -> Obs.Metrics.incr a);
-  Alcotest.(check int) "two handles, one metric" 1 (Obs.Metrics.counter_value b);
+  with_metrics (fun () ->
+      Obs.Metrics.incr a;
+      Obs.Metrics.incr b);
+  Alcotest.(check int) "two handles, one metric" 2 (counter_value reg "same.name");
   Alcotest.check_raises "kind mismatch rejected"
     (Invalid_argument "Obs.Metrics: \"same.name\" is a counter, not a gauge") (fun () ->
       ignore (Obs.Metrics.gauge ~reg "same.name"))
 
-let test_merge_and_reset () =
+let test_reset () =
   with_metrics @@ fun () ->
-  let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
-  Obs.Metrics.add (Obs.Metrics.counter ~reg:a "c") 10;
-  Obs.Metrics.add (Obs.Metrics.counter ~reg:b "c") 32;
-  Obs.Metrics.observe (Obs.Metrics.histogram ~reg:a "h") 4;
-  Obs.Metrics.observe (Obs.Metrics.histogram ~reg:b "h") 9;
-  Obs.Metrics.set_gauge (Obs.Metrics.gauge ~reg:b "g") 2.5;
-  Obs.Metrics.merge_into ~into:a b;
-  Alcotest.(check int) "counters add" 42
-    (Obs.Metrics.counter_value (Obs.Metrics.counter ~reg:a "c"));
+  let a = Obs.Metrics.create () in
+  Obs.Metrics.add (Obs.Metrics.counter ~reg:a "c") 42;
   let h = Obs.Metrics.histogram ~reg:a "h" in
-  Alcotest.(check int) "histogram counts add" 2 (Obs.Metrics.hist_count h);
-  Alcotest.(check int) "histogram sums add" 13 (Obs.Metrics.hist_sum h);
-  Alcotest.(check int) "histogram max is max" 9 (Obs.Metrics.hist_max h);
-  Alcotest.(check (float 0.)) "gauge takes source" 2.5
-    (Obs.Metrics.gauge_value (Obs.Metrics.gauge ~reg:a "g"));
+  Obs.Metrics.observe h 4;
   Obs.Metrics.reset a;
-  Alcotest.(check int) "reset zeroes counters" 0
-    (Obs.Metrics.counter_value (Obs.Metrics.counter ~reg:a "c"));
+  Alcotest.(check int) "reset zeroes counters" 0 (counter_value a "c");
   Alcotest.(check int) "reset empties histograms" 0 (Obs.Metrics.hist_count h);
   (* Old handles survive a reset. *)
   Obs.Metrics.incr (Obs.Metrics.counter ~reg:a "c");
-  Alcotest.(check int) "handle still live after reset" 1
-    (Obs.Metrics.counter_value (Obs.Metrics.counter ~reg:a "c"))
+  Alcotest.(check int) "handle still live after reset" 1 (counter_value a "c")
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of counters under multi-domain parallelism *)
@@ -128,7 +123,7 @@ let test_parallel_counter_determinism () =
           i)
     in
     Alcotest.(check (list int)) "results in order" (List.init 16 Fun.id) results;
-    (Obs.Metrics.counter_value c, Obs.Metrics.hist_count h, Obs.Metrics.hist_sum h)
+    (counter_value reg "par.c", Obs.Metrics.hist_count h, Obs.Metrics.hist_sum h)
   in
   let c1, n1, s1 = run () in
   let c2, n2, s2 = run () in
@@ -187,9 +182,7 @@ let test_trace_ring () =
             ("name", Obs.Jsonx.Str "t.event");
             ("args", Obs.Jsonx.Obj [ ("i", Obs.Jsonx.Str "3") ]) ] ->
         ()
-      | _ -> Alcotest.fail "trace event does not parse back to its fields");
-      Obs.Trace.clear ();
-      Alcotest.(check int) "clear empties the ring" 0 (List.length (Obs.Trace.recent ())))
+      | _ -> Alcotest.fail "trace event does not parse back to its fields"))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot JSON *)
@@ -357,7 +350,7 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop ] );
       ( "registry",
         [ Alcotest.test_case "find-or-create" `Quick test_intern_semantics;
-          Alcotest.test_case "merge and reset" `Quick test_merge_and_reset ] );
+          Alcotest.test_case "reset" `Quick test_reset ] );
       ( "parallel",
         [ Alcotest.test_case "counters deterministic across domains" `Quick
             test_parallel_counter_determinism;

@@ -7,11 +7,31 @@ open Relational
 
 let value = Alcotest.testable Value.pp Value.equal
 
+(* A bag holding each listed row once per occurrence. *)
+let bag_of_rows rows =
+  let b = Bag.create () in
+  List.iter (Bag.add b) rows;
+  b
+
+(* Same multiplicity for every row. *)
+let bag_equal a b =
+  List.equal
+    (fun (ra, ca) (rb, cb) -> Row.equal ra rb && Int.equal ca cb)
+    (Bag.to_list a) (Bag.to_list b)
+
+let pp_bag fmt b =
+  Format.fprintf fmt "{";
+  List.iter (fun (r, c) -> Format.fprintf fmt " %s:%d" (Row.to_string r) c) (Bag.to_list b);
+  Format.fprintf fmt " }"
+
+(* Parse then fully evaluate. *)
+let run_sql db src = Eval.eval db (Sql.parse src)
+
 let check_bag msg expected actual =
-  if not (Bag.equal expected actual) then
+  if not (bag_equal expected actual) then
     Alcotest.failf "%s:@.expected %s@.got      %s" msg
-      (Format.asprintf "%a" Bag.pp expected)
-      (Format.asprintf "%a" Bag.pp actual)
+      (Format.asprintf "%a" pp_bag expected)
+      (Format.asprintf "%a" pp_bag actual)
 
 (* ------------------------------------------------------------------ *)
 (* Value *)
@@ -65,8 +85,7 @@ let schema_abc () =
 let test_schema_lookup () =
   let s = schema_abc () in
   Alcotest.(check int) "b at 1" 1 (Schema.index_of s "b");
-  Alcotest.(check bool) "mem" true (Schema.mem s "c");
-  Alcotest.(check bool) "not mem" false (Schema.mem s "z")
+  Alcotest.check_raises "absent" Not_found (fun () -> ignore (Schema.index_of s "z"))
 
 let test_schema_qualify () =
   let s = Schema.qualify "T" (schema_abc ()) in
@@ -79,17 +98,14 @@ let test_schema_ambiguous () =
   Alcotest.check_raises "bare ambiguous" (Schema.Ambiguous_column "a")
     (fun () -> ignore (Schema.index_of s "a"))
 
-(* Regression: [mem] used to answer an ambiguous bare name by catching a
-   generic [Failure], which also swallowed every other failure mode. The
-   distinction is now explicit — an ambiguous name is present ([mem] is a
-   membership test) but not resolvable ([index_of] raises). *)
+(* An ambiguous bare name raises its own exception, distinct from the
+   [Not_found] of an absent one; qualifying it resolves. *)
 let test_schema_mem_ambiguous () =
   let s =
     Schema.concat (Schema.qualify "T1" (schema_abc ())) (Schema.qualify "T2" (schema_abc ()))
   in
-  Alcotest.(check bool) "ambiguous bare is present" true (Schema.mem s "a");
-  Alcotest.(check bool) "qualified present" true (Schema.mem s "T1.a");
-  Alcotest.(check bool) "absent" false (Schema.mem s "z");
+  Alcotest.(check int) "qualified resolves" 0 (Schema.index_of s "T1.a");
+  Alcotest.check_raises "absent" Not_found (fun () -> ignore (Schema.index_of s "z"));
   Alcotest.check_raises "index_of reports ambiguity" (Schema.Ambiguous_column "b")
     (fun () -> ignore (Schema.index_of s "b"))
 
@@ -116,12 +132,11 @@ let test_bag_signed () =
   let b = Bag.create () in
   Bag.remove b (r [ Int 5 ]);
   Alcotest.(check int) "negative count" (-1) (Bag.count b (r [ Int 5 ]));
-  Alcotest.(check bool) "not nonneg" false (Bag.all_nonnegative b);
   Bag.add b (r [ Int 5 ]);
   Alcotest.(check bool) "cancelled" true (Bag.is_empty b)
 
 let test_bag_map_rows () =
-  let b = Bag.of_rows [ r [ Int 1; Text "x" ]; r [ Int 2; Text "x" ] ] in
+  let b = bag_of_rows [ r [ Int 1; Text "x" ]; r [ Int 2; Text "x" ] ] in
   let projected = Bag.map_rows (fun row -> [| Row.get row 1 |]) b in
   Alcotest.(check int) "duplicates summed" 2 (Bag.count projected (r [ Text "x" ]))
 
@@ -134,7 +149,7 @@ let prop_bag_add_bag_assoc =
       let before = Bag.copy a in
       Bag.add_bag a b;
       Bag.add_bag ~scale:(-1) a b;
-      Bag.equal before a)
+      bag_equal before a)
 
 (* ------------------------------------------------------------------ *)
 (* Table *)
@@ -215,7 +230,7 @@ let test_eval_select_project () =
   let db = sample_db () in
   let q = Algebra.(project [ "string" ] (select Expr.(col "label" = text "B-PER") (scan "TOKEN"))) in
   let res = Eval.eval db q in
-  check_bag "strings of B-PER" (Bag.of_rows [ r [ Text "Bill" ]; r [ Text "Ramirez" ] ]) res.bag
+  check_bag "strings of B-PER" (bag_of_rows [ r [ Text "Bill" ]; r [ Text "Ramirez" ] ]) res.bag
 
 let test_eval_projection_multiset () =
   let db = sample_db () in
@@ -228,13 +243,13 @@ let test_eval_count () =
   let db = sample_db () in
   let q = Algebra.(count_star (select Expr.(col "label" = text "B-PER") (scan "TOKEN"))) in
   let res = Eval.eval db q in
-  check_bag "count 2" (Bag.of_rows [ r [ Int 2 ] ]) res.bag
+  check_bag "count 2" (bag_of_rows [ r [ Int 2 ] ]) res.bag
 
 let test_eval_count_empty () =
   let db = sample_db () in
   let q = Algebra.(count_star (select Expr.(col "label" = text "B-XYZ") (scan "TOKEN"))) in
   let res = Eval.eval db q in
-  check_bag "count 0 row present" (Bag.of_rows [ r [ Int 0 ] ]) res.bag
+  check_bag "count 0 row present" (bag_of_rows [ r [ Int 0 ] ]) res.bag
 
 let test_eval_group_by () =
   let db = sample_db () in
@@ -245,7 +260,7 @@ let test_eval_group_by () =
   in
   let res = Eval.eval db q in
   check_bag "per-doc counts"
-    (Bag.of_rows [ r [ Int 1; Int 3 ]; r [ Int 2; Int 3 ]; r [ Int 3; Int 2 ] ])
+    (bag_of_rows [ r [ Int 1; Int 3 ]; r [ Int 2; Int 3 ]; r [ Int 3; Int 2 ] ])
     res.bag
 
 let test_eval_join () =
@@ -262,7 +277,7 @@ let test_eval_join () =
         (select p (Product (scan ~alias:"T1" "TOKEN", scan ~alias:"T2" "TOKEN"))))
   in
   let res = Eval.eval db (Optimizer.optimize q) in
-  check_bag "Ramirez" (Bag.of_rows [ r [ Text "Ramirez" ] ]) res.bag
+  check_bag "Ramirez" (bag_of_rows [ r [ Text "Ramirez" ] ]) res.bag
 
 let test_eval_min_max_avg () =
   let db = sample_db () in
@@ -275,7 +290,7 @@ let test_eval_min_max_avg () =
   in
   let res = Eval.eval db q in
   check_bag "min/max/avg"
-    (Bag.of_rows
+    (bag_of_rows
        [ r [ Int 1; Int 1; Int 3; Float 2. ];
          r [ Int 2; Int 4; Int 6; Float 5. ];
          r [ Int 3; Int 7; Int 8; Float 7.5 ] ])
@@ -323,18 +338,18 @@ let test_eval_distinct_union_diff () =
 
 let test_sql_query1 () =
   let db = sample_db () in
-  let res = Sql.run db "SELECT STRING FROM TOKEN WHERE LABEL='B-PER'" in
-  check_bag "query 1" (Bag.of_rows [ r [ Text "Bill" ]; r [ Text "Ramirez" ] ]) res.bag
+  let res = run_sql db "SELECT STRING FROM TOKEN WHERE LABEL='B-PER'" in
+  check_bag "query 1" (bag_of_rows [ r [ Text "Bill" ]; r [ Text "Ramirez" ] ]) res.bag
 
 let test_sql_query2 () =
   let db = sample_db () in
-  let res = Sql.run db "SELECT COUNT(*) FROM TOKEN WHERE LABEL='B-PER'" in
-  check_bag "query 2" (Bag.of_rows [ r [ Int 2 ] ]) res.bag
+  let res = run_sql db "SELECT COUNT(*) FROM TOKEN WHERE LABEL='B-PER'" in
+  check_bag "query 2" (bag_of_rows [ r [ Int 2 ] ]) res.bag
 
 let test_sql_query3 () =
   let db = sample_db () in
   let res =
-    Sql.run db
+    run_sql db
       "SELECT T.doc_id FROM TOKEN T WHERE (SELECT COUNT(*) FROM TOKEN T1 WHERE \
        T1.label='B-PER' AND T.doc_id=T1.doc_id) = (SELECT COUNT(*) FROM TOKEN T1 WHERE \
        T1.label='B-ORG' AND T.doc_id=T1.doc_id)"
@@ -348,17 +363,17 @@ let test_sql_query3 () =
 let test_sql_query4 () =
   let db = sample_db () in
   let res =
-    Sql.run db
+    run_sql db
       "SELECT T2.STRING FROM TOKEN T1, TOKEN T2 WHERE T1.STRING='Boston' AND \
        T1.LABEL='B-ORG' AND T1.DOC_ID=T2.DOC_ID AND T2.LABEL='B-PER'"
   in
-  check_bag "query 4" (Bag.of_rows [ r [ Text "Ramirez" ] ]) res.bag
+  check_bag "query 4" (bag_of_rows [ r [ Text "Ramirez" ] ]) res.bag
 
 let test_sql_group_by () =
   let db = sample_db () in
-  let res = Sql.run db "SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id" in
+  let res = run_sql db "SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id" in
   check_bag "group by"
-    (Bag.of_rows [ r [ Int 1; Int 3 ]; r [ Int 2; Int 3 ]; r [ Int 3; Int 2 ] ])
+    (bag_of_rows [ r [ Int 1; Int 3 ]; r [ Int 2; Int 3 ]; r [ Int 3; Int 2 ] ])
     res.bag
 
 let test_sql_join_becomes_hash () =
@@ -469,24 +484,12 @@ let test_view_matches_full_eval () =
         apply_random_updates rand db delta (1 + Prng.int rand 20);
         View.update view delta;
         let fresh = Eval.eval db q in
-        if not (Bag.equal fresh.Eval.bag (View.result view)) then
+        if not (bag_equal fresh.Eval.bag (View.result view)) then
           Alcotest.failf "view %s diverged at batch %d:@.fresh %s@.view  %s" name batch
-            (Format.asprintf "%a" Bag.pp fresh.Eval.bag)
-            (Format.asprintf "%a" Bag.pp (View.result view))
+            (Format.asprintf "%a" pp_bag fresh.Eval.bag)
+            (Format.asprintf "%a" pp_bag (View.result view))
       done)
     (view_queries ())
-
-let test_view_refresh () =
-  let rand = Prng.of_seeds [| 7 |] in
-  let db = random_db rand 60 4 in
-  let q = Algebra.(count_star (select Expr.(col "label" = text "B-PER") (scan "TOKEN"))) in
-  let view = View.create db q in
-  let delta = Delta.create () in
-  apply_random_updates rand db delta 10;
-  (* Skip the delta entirely: refresh must re-anchor the view. *)
-  View.refresh view;
-  let fresh = Eval.eval db q in
-  check_bag "refresh re-anchors" fresh.Eval.bag (View.result view)
 
 let prop_view_maintenance =
   QCheck.Test.make ~name:"view: incremental equals full re-evaluation" ~count:25
@@ -506,7 +509,7 @@ let prop_view_maintenance =
           let delta = Delta.create () in
           apply_random_updates rand db delta (1 + ((a + b) mod 15));
           View.update view delta;
-          Bag.equal (Eval.eval db q).Eval.bag (View.result view))
+          bag_equal (Eval.eval db q).Eval.bag (View.result view))
         batches)
 
 (* ------------------------------------------------------------------ *)
@@ -579,7 +582,7 @@ let prop_indexed_join_delta =
             end
           done;
           View.update view delta;
-          Bag.equal (nested_reference ()) (View.result view))
+          bag_equal (nested_reference ()) (View.result view))
         batches)
 
 (* A mixed insert/delete/update workload, each operation recorded in the
@@ -633,10 +636,10 @@ let test_view_mixed_dml_matches_full_eval () =
         apply_random_dml rand db delta (1 + Prng.int rand 12);
         View.update view delta;
         let fresh = Eval.eval db q in
-        if not (Bag.equal fresh.Eval.bag (View.result view)) then
+        if not (bag_equal fresh.Eval.bag (View.result view)) then
           Alcotest.failf "view %s diverged at batch %d:@.fresh %s@.view  %s" name batch
-            (Format.asprintf "%a" Bag.pp fresh.Eval.bag)
-            (Format.asprintf "%a" Bag.pp (View.result view))
+            (Format.asprintf "%a" pp_bag fresh.Eval.bag)
+            (Format.asprintf "%a" pp_bag (View.result view))
       done)
     (mixed_view_queries ())
 
@@ -749,8 +752,9 @@ let test_delta_plus_minus () =
   let d = Delta.create () in
   let row1 = r [ Int 1; Text "a" ] and row2 = r [ Int 1; Text "b" ] in
   Delta.record_update d ~table:"T" ~old_row:row1 ~new_row:row2;
-  Alcotest.(check int) "plus has new" 1 (Bag.count (Delta.plus d ~table:"T") row2);
-  Alcotest.(check int) "minus has old" 1 (Bag.count (Delta.minus d ~table:"T") row1);
+  let signed = Option.get (Delta.for_table d "T") in
+  Alcotest.(check int) "new row counts +1" 1 (Bag.count signed row2);
+  Alcotest.(check int) "old row counts -1" (-1) (Bag.count signed row1);
   Alcotest.(check int) "magnitude" 2 (Delta.total_magnitude d)
 
 
@@ -790,17 +794,17 @@ let test_expr_in_between_null () =
 
 let test_sql_like_in_between () =
   let db = sample_db () in
-  let like = Sql.run db "SELECT string FROM TOKEN WHERE string LIKE 'B%'" in
-  check_bag "LIKE B%" (Bag.of_rows [ r [ Text "Bill" ]; r [ Text "Boston" ]; r [ Text "Boston" ] ])
+  let like = run_sql db "SELECT string FROM TOKEN WHERE string LIKE 'B%'" in
+  check_bag "LIKE B%" (bag_of_rows [ r [ Text "Bill" ]; r [ Text "Boston" ]; r [ Text "Boston" ] ])
     like.bag;
-  let inq = Sql.run db "SELECT tok_id FROM TOKEN WHERE label IN ('B-PER','B-LOC')" in
-  check_bag "IN list" (Bag.of_rows [ r [ Int 1 ]; r [ Int 5 ]; r [ Int 7 ] ]) inq.bag;
-  let btw = Sql.run db "SELECT tok_id FROM TOKEN WHERE tok_id BETWEEN 2 AND 4" in
-  check_bag "BETWEEN" (Bag.of_rows [ r [ Int 2 ]; r [ Int 3 ]; r [ Int 4 ] ]) btw.bag;
-  let notin = Sql.run db "SELECT COUNT(*) FROM TOKEN WHERE label NOT IN ('O')" in
-  check_bag "NOT IN" (Bag.of_rows [ r [ Int 5 ] ]) notin.bag;
-  let arith = Sql.run db "SELECT tok_id FROM TOKEN WHERE tok_id + 1 = 3" in
-  check_bag "arith" (Bag.of_rows [ r [ Int 2 ] ]) arith.bag
+  let inq = run_sql db "SELECT tok_id FROM TOKEN WHERE label IN ('B-PER','B-LOC')" in
+  check_bag "IN list" (bag_of_rows [ r [ Int 1 ]; r [ Int 5 ]; r [ Int 7 ] ]) inq.bag;
+  let btw = run_sql db "SELECT tok_id FROM TOKEN WHERE tok_id BETWEEN 2 AND 4" in
+  check_bag "BETWEEN" (bag_of_rows [ r [ Int 2 ]; r [ Int 3 ]; r [ Int 4 ] ]) btw.bag;
+  let notin = run_sql db "SELECT COUNT(*) FROM TOKEN WHERE label NOT IN ('O')" in
+  check_bag "NOT IN" (bag_of_rows [ r [ Int 5 ] ]) notin.bag;
+  let arith = run_sql db "SELECT tok_id FROM TOKEN WHERE tok_id + 1 = 3" in
+  check_bag "arith" (bag_of_rows [ r [ Int 2 ] ]) arith.bag
 
 (* ------------------------------------------------------------------ *)
 (* ORDER BY / LIMIT *)
@@ -808,21 +812,17 @@ let test_sql_like_in_between () =
 let test_sql_order_limit () =
   let db = sample_db () in
   let q = Sql.parse "SELECT tok_id FROM TOKEN WHERE label <> 'O' ORDER BY tok_id DESC LIMIT 2" in
-  let _, ordered = Eval.eval_ordered db q in
-  Alcotest.(check (list (pair int int)))
-    "top 2 descending"
-    [ (7, 1); (5, 1) ]
-    (List.map (fun (row, c) -> (Value.to_int (Row.get row 0), c)) ordered)
+  check_bag "top 2 descending" (bag_of_rows [ r [ Int 7 ]; r [ Int 5 ] ]) (Eval.eval db q).Eval.bag
 
 let test_order_by_no_limit_is_multiset_noop () =
   let db = sample_db () in
-  let plain = Sql.run db "SELECT label FROM TOKEN" in
-  let ordered = Sql.run db "SELECT label FROM TOKEN ORDER BY label" in
+  let plain = run_sql db "SELECT label FROM TOKEN" in
+  let ordered = run_sql db "SELECT label FROM TOKEN ORDER BY label" in
   check_bag "same multiset" plain.bag ordered.bag
 
 let test_limit_counts_multiplicity () =
   let db = sample_db () in
-  let res = Sql.run db "SELECT label FROM TOKEN ORDER BY label LIMIT 4" in
+  let res = run_sql db "SELECT label FROM TOKEN ORDER BY label LIMIT 4" in
   (* labels sorted: B-LOC, B-ORG, B-ORG, B-PER, ... *)
   let expected = Bag.create () in
   Bag.add expected (r [ Text "B-LOC" ]);
@@ -840,66 +840,9 @@ let test_view_with_limit_recomputes () =
     apply_random_updates rand db delta 12;
     View.update view delta;
     let fresh = Eval.eval db q in
-    if not (Bag.equal fresh.Eval.bag (View.result view)) then
+    if not (bag_equal fresh.Eval.bag (View.result view)) then
       Alcotest.fail "limited view diverged"
   done
-
-(* ------------------------------------------------------------------ *)
-(* CSV *)
-
-let test_csv_roundtrip () =
-  let t =
-    mk_token_table
-      [ (1, 1, "says \"hi\", ok", "B-PER"); (2, 1, "plain", "O"); (3, 2, "comma, inside", "O") ]
-  in
-  let path = Filename.temp_file "pdb_csv" ".csv" in
-  Csv_io.write_file path t;
-  let t2 = Csv_io.read_file ~pk:"tok_id" ~name:"TOKEN" (token_schema ()) path in
-  Sys.remove path;
-  Alcotest.(check bool) "roundtrip preserves rows" true (Bag.equal (Table.rows t) (Table.rows t2))
-
-let test_csv_parse_line () =
-  Alcotest.(check (list string)) "quoted comma" [ "a,b"; "c" ] (Csv_io.parse_line "\"a,b\",c");
-  Alcotest.(check (list string)) "escaped quote" [ "x\"y" ] (Csv_io.parse_line "\"x\"\"y\"");
-  Alcotest.(check (list string)) "empty fields" [ ""; ""; "z" ] (Csv_io.parse_line ",,z")
-
-let test_csv_null_cells () =
-  let schema =
-    Schema.make [ { Schema.name = "a"; ty = Value.T_int }; { Schema.name = "b"; ty = Value.T_text } ]
-  in
-  let path = Filename.temp_file "pdb_csv" ".csv" in
-  Out_channel.with_open_text path (fun oc -> output_string oc "a,b\n1,\n,x\n");
-  let t = Csv_io.read_file ~name:"T" schema path in
-  Sys.remove path;
-  Alcotest.(check int) "two rows" 2 (Table.cardinal t);
-  Alcotest.(check bool) "null parsed" true (Bag.mem (Table.rows t) (r [ Int 1; Null ]))
-
-
-(* ------------------------------------------------------------------ *)
-(* Storage (directory persistence) *)
-
-let test_storage_roundtrip () =
-  let db = sample_db () in
-  Table.create_index (Database.table db "TOKEN") "doc_id";
-  let dir = Filename.temp_file "pdb_store" "" in
-  Sys.remove dir;
-  Storage.save db ~dir;
-  let db2 = Storage.load ~dir in
-  let t1 = Database.table db "TOKEN" and t2 = Database.table db2 "TOKEN" in
-  Alcotest.(check bool) "rows preserved" true (Bag.equal (Table.rows t1) (Table.rows t2));
-  Alcotest.(check (option string)) "pk preserved" (Some "tok_id") (Table.pk_column t2);
-  Alcotest.(check bool) "index preserved" true (Table.has_index t2 "doc_id");
-  let q = "SELECT STRING FROM TOKEN WHERE LABEL='B-PER'" in
-  Alcotest.(check bool) "query agrees" true
-    (Bag.equal (Sql.run db q).Eval.bag (Sql.run db2 q).Eval.bag);
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
-
-let test_storage_manifest_format () =
-  let t = mk_token_table [ (1, 1, "a", "O") ] in
-  Alcotest.(check string) "manifest line"
-    "TOKEN|tok_id|tok_id:int,doc_id:int,string:text,label:text|-"
-    (Storage.manifest_line t)
 
 (* ------------------------------------------------------------------ *)
 (* Indexed selection fast path *)
@@ -917,7 +860,7 @@ let test_indexed_selection_agrees () =
 let test_indexed_selection_empty_key () =
   let db = sample_db () in
   Table.create_index (Database.table db "TOKEN") "doc_id";
-  let res = Sql.run db "SELECT tok_id FROM TOKEN WHERE doc_id = 99" in
+  let res = run_sql db "SELECT tok_id FROM TOKEN WHERE doc_id = 99" in
   Alcotest.(check int) "no rows" 0 (Bag.total res.Eval.bag)
 
 
@@ -949,26 +892,26 @@ let prop_optimizer_preserves_semantics =
       in
       let plain = Eval.eval db q in
       let opt = Eval.eval db (Optimizer.optimize q) in
-      Bag.equal plain.Eval.bag opt.Eval.bag)
+      bag_equal plain.Eval.bag opt.Eval.bag)
 
 
 let test_sql_having () =
   let db = sample_db () in
   let res =
-    Sql.run db "SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id HAVING n >= 3"
+    run_sql db "SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id HAVING n >= 3"
   in
   check_bag "having filters groups"
-    (Bag.of_rows [ r [ Int 1; Int 3 ]; r [ Int 2; Int 3 ] ])
+    (bag_of_rows [ r [ Int 1; Int 3 ]; r [ Int 2; Int 3 ] ])
     res.bag
 
 let test_sql_join_on () =
   let db = sample_db () in
   let res =
-    Sql.run db
+    run_sql db
       "SELECT T2.STRING FROM TOKEN T1 JOIN TOKEN T2 ON T1.DOC_ID = T2.DOC_ID WHERE \
        T1.STRING='Boston' AND T1.LABEL='B-ORG' AND T2.LABEL='B-PER'"
   in
-  check_bag "join..on equals comma join" (Bag.of_rows [ r [ Text "Ramirez" ] ]) res.bag
+  check_bag "join..on equals comma join" (bag_of_rows [ r [ Text "Ramirez" ] ]) res.bag
 
 let test_sql_having_without_group () =
   match Sql.parse "SELECT string FROM TOKEN HAVING string = 'x'" with
@@ -978,42 +921,6 @@ let test_sql_having_without_group () =
 
 (* ------------------------------------------------------------------ *)
 (* DML statements and view maintenance under inserts/deletes *)
-
-let test_dml_insert () =
-  let db = sample_db () in
-  let n =
-    Sql.execute db "INSERT INTO TOKEN VALUES (100, 4, 'Pedro', 'B-PER'), (101, 4, 'ran', 'O')"
-  in
-  Alcotest.(check int) "two inserted" 2 n;
-  let res = Sql.run db "SELECT COUNT(*) FROM TOKEN" in
-  check_bag "count grew" (Bag.of_rows [ r [ Int 10 ] ]) res.bag
-
-let test_dml_update () =
-  let db = sample_db () in
-  let n = Sql.execute db "UPDATE TOKEN SET label = 'B-ORG' WHERE string = 'Boston'" in
-  (* one of the two Boston rows is already B-ORG; no-op rows don't count *)
-  Alcotest.(check int) "one actually changed" 1 n;
-  let res = Sql.run db "SELECT COUNT(*) FROM TOKEN WHERE label='B-ORG'" in
-  check_bag "three orgs now" (Bag.of_rows [ r [ Int 3 ] ]) res.bag
-
-let test_dml_update_arith () =
-  let db = sample_db () in
-  let n = Sql.execute db "UPDATE TOKEN SET doc_id = doc_id + 10 WHERE doc_id = 1" in
-  Alcotest.(check int) "three rows shifted" 3 n;
-  let res = Sql.run db "SELECT COUNT(*) FROM TOKEN WHERE doc_id = 11" in
-  check_bag "shifted" (Bag.of_rows [ r [ Int 3 ] ]) res.bag
-
-let test_dml_delete () =
-  let db = sample_db () in
-  let n = Sql.execute db "DELETE FROM TOKEN WHERE label = 'O'" in
-  Alcotest.(check int) "three deleted" 3 n;
-  Alcotest.(check int) "five left" 5 (Table.cardinal (Database.table db "TOKEN"))
-
-let test_dml_rejects_query () =
-  let db = sample_db () in
-  match Sql.execute db "SELECT * FROM TOKEN" with
-  | exception Sql.Parse_error _ -> ()
-  | _ -> Alcotest.fail "execute must reject queries"
 
 let test_views_follow_dml () =
   let db = sample_db () in
@@ -1026,22 +933,43 @@ let test_views_follow_dml () =
          T1.LABEL='B-ORG' AND T1.DOC_ID=T2.DOC_ID AND T2.LABEL='B-PER'" ]
   in
   let views = List.map (View.create db) queries in
+  let t = Database.table db "TOKEN" in
+  let insert d row =
+    Table.insert t row;
+    Delta.record_insert d ~table:"TOKEN" row
+  in
+  let delete d row =
+    Table.delete t row;
+    Delta.record_delete d ~table:"TOKEN" row
+  in
+  let update d column v row =
+    let old_row, new_row = Table.update_field_by_pk t (Row.get row 0) ~column v in
+    Delta.record_update d ~table:"TOKEN" ~old_row ~new_row
+  in
+  let where column v =
+    let pos = Schema.index_of (Table.schema t) column in
+    List.filter (fun row -> Value.equal (Row.get row pos) v) (Bag.rows (Table.rows t))
+  in
   let statements =
-    [ "INSERT INTO TOKEN VALUES (50, 2, 'Pedro', 'B-PER')";
-      "UPDATE TOKEN SET label = 'B-ORG' WHERE string = 'Boston'";
-      "DELETE FROM TOKEN WHERE label = 'O'";
-      "INSERT INTO TOKEN VALUES (51, 2, 'Boston', 'B-ORG'), (52, 3, 'Eli', 'B-PER')";
-      "UPDATE TOKEN SET doc_id = 2 WHERE doc_id = 3" ]
+    [ ("insert Pedro", fun d -> insert d (r [ Int 50; Int 2; Text "Pedro"; Text "B-PER" ]));
+      ( "Boston -> B-ORG",
+        fun d -> List.iter (update d "label" (Text "B-ORG")) (where "string" (Text "Boston")) );
+      ("delete O", fun d -> List.iter (delete d) (where "label" (Text "O")));
+      ( "insert two",
+        fun d ->
+          insert d (r [ Int 51; Int 2; Text "Boston"; Text "B-ORG" ]);
+          insert d (r [ Int 52; Int 3; Text "Eli"; Text "B-PER" ]) );
+      ("doc 3 -> 2", fun d -> List.iter (update d "doc_id" (Int 2)) (where "doc_id" (Int 3))) ]
   in
   List.iter
-    (fun stmt ->
+    (fun (stmt, apply) ->
       let delta = Delta.create () in
-      ignore (Sql.execute ~delta db stmt : int);
+      apply delta;
       List.iter2
         (fun view q ->
           View.update view delta;
           let fresh = Eval.eval db q in
-          if not (Bag.equal fresh.Eval.bag (View.result view)) then
+          if not (bag_equal fresh.Eval.bag (View.result view)) then
             Alcotest.failf "view diverged after %S on %s" stmt
               (Format.asprintf "%a" Algebra.pp q))
         views queries)
@@ -1049,14 +977,6 @@ let test_views_follow_dml () =
 
 
 (* A few extra edge cases surfaced while writing the benches. *)
-
-let test_bag_equal_with_negative () =
-  let a = Bag.create () and b = Bag.create () in
-  Bag.add ~count:(-2) a (r [ Int 1 ]);
-  Bag.add ~count:(-2) b (r [ Int 1 ]);
-  Alcotest.(check bool) "negative counts compare" true (Bag.equal a b);
-  Bag.add b (r [ Int 1 ]);
-  Alcotest.(check bool) "differ" false (Bag.equal a b)
 
 let test_schema_duplicate_column () =
   match Schema.make [ { Schema.name = "a"; ty = Value.T_int }; { Schema.name = "a"; ty = Value.T_int } ] with
@@ -1070,23 +990,14 @@ let test_order_by_desc_ties_deterministic () =
   let b = Eval.eval db q1 in
   check_bag "stable under re-evaluation" a.Eval.bag b.Eval.bag
 
-let test_dml_parse_errors () =
-  List.iter
-    (fun src ->
-      match Sql.parse_statement src with
-      | exception Sql.Parse_error _ -> ()
-      | _ -> Alcotest.failf "expected parse error: %s" src)
-    [ "INSERT TOKEN VALUES (1)"; "INSERT INTO TOKEN (1,2)"; "UPDATE TOKEN label = 'x'";
-      "DELETE TOKEN"; "UPDATE TOKEN SET WHERE a=1" ]
-
 let test_empty_table_queries () =
   let db = Database.create () in
   let _ = Database.create_table db ~pk:"tok_id" ~name:"TOKEN" (token_schema ()) in
-  let sel = Sql.run db "SELECT string FROM TOKEN WHERE label='B-PER'" in
+  let sel = run_sql db "SELECT string FROM TOKEN WHERE label='B-PER'" in
   Alcotest.(check int) "empty selection" 0 (Bag.total sel.Eval.bag);
-  let cnt = Sql.run db "SELECT COUNT(*) FROM TOKEN" in
-  check_bag "count of empty" (Bag.of_rows [ r [ Int 0 ] ]) cnt.bag;
-  let grp = Sql.run db "SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id" in
+  let cnt = run_sql db "SELECT COUNT(*) FROM TOKEN" in
+  check_bag "count of empty" (bag_of_rows [ r [ Int 0 ] ]) cnt.bag;
+  let grp = run_sql db "SELECT doc_id, COUNT(*) AS n FROM TOKEN GROUP BY doc_id" in
   Alcotest.(check int) "no groups" 0 (Bag.total grp.bag);
   (* and a view over the empty table updates cleanly *)
   let view = View.create db (Sql.parse "SELECT COUNT(*) FROM TOKEN WHERE label='B-PER'") in
@@ -1096,7 +1007,7 @@ let test_empty_table_queries () =
   Table.insert t row;
   Delta.record_insert delta ~table:"TOKEN" row;
   View.update view delta;
-  check_bag "view after first insert" (Bag.of_rows [ r [ Int 1 ] ]) (View.result view)
+  check_bag "view after first insert" (bag_of_rows [ r [ Int 1 ] ]) (View.result view)
 
 (* ------------------------------------------------------------------ *)
 (* Intern pool *)
@@ -1137,13 +1048,11 @@ let prop_intern_roundtrip =
            ss ids)
 
 let test_intern_collision_stress () =
-  (* 10k fresh strings through one pool: ids must be dense, distinct, and
-     the count gauge must advance by exactly the number of new strings —
+  (* 10k fresh strings through one pool: ids must be dense and distinct —
      a hash collision that aliased two strings would break one of these. *)
   let n = 10_000 in
-  let before = Intern.count () in
   let ids = Array.init n (fun i -> Intern.intern (Printf.sprintf "stress-%d" i)) in
-  Alcotest.(check int) "count advanced by n" (before + n) (Intern.count ());
+  let before = Array.fold_left min max_int ids in
   let seen = Hashtbl.create n in
   Array.iteri
     (fun i id ->
@@ -1155,8 +1064,7 @@ let test_intern_collision_stress () =
   (* Re-interning the whole batch mints nothing new. *)
   Array.iteri
     (fun i id -> Alcotest.(check int) "stable" id (Intern.intern (Printf.sprintf "stress-%d" i)))
-    ids;
-  Alcotest.(check int) "count unchanged" (before + n) (Intern.count ())
+    ids
 
 (* ------------------------------------------------------------------ *)
 (* Columnar storage backend *)
@@ -1258,29 +1166,6 @@ let test_columnar_view_maintenance () =
   Delta.record_delete d3 ~table:"TOKEN" row;
   step d3
 
-let test_columnar_storage_roundtrip () =
-  (* Save/load must preserve the backend choice and the contents. *)
-  let db = Database.create () in
-  Database.add_table db (mk_columnar_token_table sample_rows);
-  Table.create_index (Database.table db "TOKEN") "doc_id";
-  let dir = Filename.temp_file "pdb_store_col" "" in
-  Sys.remove dir;
-  Storage.save db ~dir;
-  let db2 = Storage.load ~dir in
-  let t1 = Database.table db "TOKEN" and t2 = Database.table db2 "TOKEN" in
-  Alcotest.(check bool) "still columnar" true (Table.storage t2 = `Columnar);
-  Alcotest.(check bool) "rows preserved" true (Bag.equal (Table.rows t1) (Table.rows t2));
-  Alcotest.(check (option string)) "pk preserved" (Some "tok_id") (Table.pk_column t2);
-  Alcotest.(check bool) "index preserved" true (Table.has_index t2 "doc_id");
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
-
-let test_columnar_manifest_format () =
-  let t = mk_columnar_token_table [ (1, 1, "a", "O") ] in
-  Alcotest.(check string) "columnar manifest line"
-    "TOKEN|tok_id|tok_id:int,doc_id:int,string:text,label:text|-|columnar"
-    (Storage.manifest_line t)
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "relational"
@@ -1327,7 +1212,6 @@ let () =
          Alcotest.test_case "errors" `Quick test_sql_errors ]);
       ("view",
        [ Alcotest.test_case "matches-full-eval" `Quick test_view_matches_full_eval;
-         Alcotest.test_case "refresh" `Quick test_view_refresh;
          Alcotest.test_case "mixed-dml-matches-full-eval" `Quick test_view_mixed_dml_matches_full_eval;
          Alcotest.test_case "join-delta-both-sides" `Quick test_view_join_delta_both_sides;
          Alcotest.test_case "indexed-join-no-eval" `Quick test_view_indexed_join_no_eval;
@@ -1348,13 +1232,6 @@ let () =
          Alcotest.test_case "having" `Quick test_sql_having;
          Alcotest.test_case "join-on" `Quick test_sql_join_on;
          Alcotest.test_case "having-without-group" `Quick test_sql_having_without_group ]);
-      ("csv",
-       [ Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
-         Alcotest.test_case "parse-line" `Quick test_csv_parse_line;
-         Alcotest.test_case "null-cells" `Quick test_csv_null_cells ]);
-      ("storage",
-       [ Alcotest.test_case "roundtrip" `Quick test_storage_roundtrip;
-         Alcotest.test_case "manifest" `Quick test_storage_manifest_format ]);
       ("intern",
        [ Alcotest.test_case "basics" `Quick test_intern_basics;
          Alcotest.test_case "collision-stress" `Quick test_intern_collision_stress;
@@ -1362,23 +1239,14 @@ let () =
       ("columnar",
        [ Alcotest.test_case "matches-boxed" `Quick test_columnar_matches_boxed;
          Alcotest.test_case "strictness" `Quick test_columnar_strictness;
-         Alcotest.test_case "view-maintenance" `Quick test_columnar_view_maintenance;
-         Alcotest.test_case "storage-roundtrip" `Quick test_columnar_storage_roundtrip;
-         Alcotest.test_case "manifest" `Quick test_columnar_manifest_format ]);
+         Alcotest.test_case "view-maintenance" `Quick test_columnar_view_maintenance; ]);
       ("index-path",
        [ Alcotest.test_case "agrees-with-scan" `Quick test_indexed_selection_agrees;
          Alcotest.test_case "empty-key" `Quick test_indexed_selection_empty_key ]);
       ("optimizer", [ qc prop_optimizer_preserves_semantics ]);
       ("dml",
-       [ Alcotest.test_case "insert" `Quick test_dml_insert;
-         Alcotest.test_case "update" `Quick test_dml_update;
-         Alcotest.test_case "update-arith" `Quick test_dml_update_arith;
-         Alcotest.test_case "delete" `Quick test_dml_delete;
-         Alcotest.test_case "rejects-query" `Quick test_dml_rejects_query;
-         Alcotest.test_case "views-follow-dml" `Quick test_views_follow_dml ]);
+       [ Alcotest.test_case "views-follow-dml" `Quick test_views_follow_dml ]);
       ("edge-cases",
-       [ Alcotest.test_case "bag-negative-equal" `Quick test_bag_equal_with_negative;
-         Alcotest.test_case "schema-duplicate" `Quick test_schema_duplicate_column;
+       [ Alcotest.test_case "schema-duplicate" `Quick test_schema_duplicate_column;
          Alcotest.test_case "order-desc-stable" `Quick test_order_by_desc_ties_deterministic;
-         Alcotest.test_case "dml-parse-errors" `Quick test_dml_parse_errors;
          Alcotest.test_case "empty-table" `Quick test_empty_table_queries ]) ]

@@ -287,7 +287,10 @@ let test_shard_bounded_divergence () =
         max 1 (max (List.length (Marginals.estimates m))
                  (List.length (Marginals.estimates reference)))
       in
-      let mse = Marginals.squared_error ~reference m /. float_of_int support in
+      let mse =
+        Marginals.squared_error_to ~reference:(Marginals.estimates reference) m
+        /. float_of_int support
+      in
       if mse > 0.05 then
         Alcotest.failf "%s: sharded estimates diverged from single chain (mse %.4f)" name mse)
     sharded

@@ -16,10 +16,10 @@ let feq ?(eps = 1e-9) msg a b =
 
 let test_lineage_simplification () =
   let open Lineage in
-  Alcotest.(check bool) "conj units" true (conj [ tru; var 1; tru ] = var 1);
-  Alcotest.(check bool) "conj absorbing" true (conj [ var 1; fls ] = fls);
-  Alcotest.(check bool) "disj units" true (disj [ fls; var 2 ] = var 2);
-  Alcotest.(check bool) "disj absorbing" true (disj [ var 1; tru ] = tru);
+  Alcotest.(check bool) "conj units" true (conj [ Tru; var 1; Tru ] = var 1);
+  Alcotest.(check bool) "conj absorbing" true (conj [ var 1; Fls ] = Fls);
+  Alcotest.(check bool) "disj units" true (disj [ Fls; var 2 ] = var 2);
+  Alcotest.(check bool) "disj absorbing" true (disj [ var 1; Tru ] = Tru);
   Alcotest.(check bool) "double negation" true (neg (neg (var 3)) = var 3);
   Alcotest.(check (list int)) "vars" [ 1; 2 ]
     (vars (conj [ var 1; disj [ var 2; var 1 ] ]))

@@ -21,6 +21,13 @@ echo "ci: pdb_lint"
 mkdir -p _build
 dune exec tools/lint/pdb_lint.exe -- --root . --json _build/lint_report.json \
   --summaries _build/lint_summaries.txt
+echo "ci: examples"
+# Every example must run to completion: they are callers of the lib
+# exports they use, which lint rule R11 counts.
+for ex in quickstart ner_pipeline entity_resolution aggregates top_entities \
+  sensor_network lineage_vs_mcmc observability; do
+  dune exec "examples/$ex.exe" > /dev/null
+done
 echo "ci: multi-query serve bench (smoke)"
 # Smallest-size run of the multi-query group: exercises the shared-chain
 # serving path end to end and regenerates BENCH_serve.json, so the bench

@@ -1,5 +1,6 @@
 (* Module-qualified call graph over the scanned tree, feeding the
-   interprocedural effect analysis in Effects (rules R8–R10).
+   interprocedural effect analysis in Effects (rules R8–R10); Exports
+   (R11) reuses its module naming and last-two-segment suffix match.
 
    Phase 1 of the two-phase analyzer: every parsed implementation
    contributes its top-level [let] bindings (plus one nested-module

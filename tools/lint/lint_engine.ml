@@ -26,13 +26,16 @@
      R9 rng-discipline    Random.* outside lib/prng/prng.ml (Mcmc.Rng's engine)
      R10 ambient-env      Sys.getenv/Unix.getenv/Sys.argv outside bin/ and the
                           failpoint shim
+     R11 unused-export    a val in lib/**/*.mli that no implementation outside
+                          test/ references (see Exports)
 
    R1–R7 are per-expression and syntactic. R8–R10 run as a second,
    interprocedural phase: Callgraph collects module-qualified decls over
    every parsed implementation, Effects computes per-function effect
    summaries to a fixpoint and taint-checks flows into serialization
    sinks; this file merges those findings (allowlist comments apply the
-   same way) and renders the --summaries table.
+   same way) and renders the --summaries table. R11 runs last, over the
+   parsed lib/ interfaces against every implementation outside test/.
 
    Everything here is syntactic — no typing pass — so R1's =/<> check
    uses an immediacy heuristic: a comparison is exempt when either
@@ -144,6 +147,16 @@ let rules =
         "library behavior must be a function of its arguments: ambient \
          Sys.getenv/Sys.argv reads make identical calls behave differently \
          across hosts and make the library untestable";
+    };
+    { id = "R11";
+      rname = "unused-export";
+      hint =
+        "delete the val (and its body), or keep it with an allowlist comment \
+         naming the test it serves: a reference implementation a test compares \
+         against, or a hook into a fault or state no public call reaches";
+      blurb =
+        "an export only tests reach is code with no user: it costs review, \
+         build and reading time while nothing in the system depends on it";
     }
   ]
 
@@ -200,14 +213,14 @@ let compare_violation a b =
 (* Scoping                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let scan_dirs = [ "lib"; "bin"; "bench"; "test"; "tools" ]
+let scan_dirs = [ "lib"; "bin"; "bench"; "examples"; "test"; "tools" ]
 let r1_dirs = [ "lib/relational"; "lib/mcmc"; "lib/serve"; "lib/checkpoint" ]
 
 (* R7 scope: the files a Metropolis–Hastings sample actually flows
    through (columnar decode, view fan-out, proposals, world writes) plus
    all of lib/serve and lib/mcmc. Cold-path boundaries that legitimately
-   box text once — Intern itself, Labels' cached table, Token_table and
-   Csv_io load — stay out of scope. *)
+   box text once — Intern itself, Labels' cached table, the Token_table
+   loader — stay out of scope. *)
 let r7_files =
   [ "lib/relational/col_store.ml"; "lib/relational/view.ml"; "lib/relational/key_index.ml";
     "lib/ie/crf.ml"; "lib/ie/proposals.ml"; "lib/core/world.ml" ]
@@ -669,12 +682,14 @@ let parse_rule =
     blurb = "unparseable sources cannot be linted";
   }
 
-(* One parsed file: its allowlist, its per-expression report, and (for
-   implementations) the parse tree the interprocedural phase consumes. *)
+(* One parsed file: its allowlist, its per-expression report, and the
+   parse tree the later phases consume (implementations for R8–R11,
+   interfaces for R11). *)
 type parsed_file = {
   p_rel : string;
   p_allows : allow list;
   p_str : structure option;
+  p_sig : signature option;
   p_report : file_report;
 }
 
@@ -684,25 +699,26 @@ let lint_file ~root rel =
   let allows = parse_allows src in
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf rel;
-  let str, report =
+  let str, sg, report =
     if Filename.check_suffix rel ".mli" then (
-      (* interfaces carry no expressions; parsing them still guards
-         against rot and validates allowlist syntax placement *)
+      (* interfaces carry no expressions; R11 reads their vals *)
       match Parse.interface lexbuf with
-      | (_ : signature) -> (None, { fr_violations = []; fr_metrics = [] })
+      | sg -> (None, Some sg, { fr_violations = []; fr_metrics = [] })
       (* pdb_lint: allow R4 — any exception here means "does not parse"; surfaced as a P0 violation, nothing to re-raise *)
       | exception _ ->
         ( None,
+          None,
           { fr_violations =
               [ violation ~rule:parse_rule ~file:rel ~loc:Location.none "interface does not parse" ];
             fr_metrics = [];
           } ))
     else
       match Parse.implementation lexbuf with
-      | str -> (Some str, check_structure ~rel str)
+      | str -> (Some str, None, check_structure ~rel str)
       (* pdb_lint: allow R4 — any exception here means "does not parse"; surfaced as a P0 violation, nothing to re-raise *)
       | exception _ ->
         ( None,
+          None,
           { fr_violations =
               [ violation ~rule:parse_rule ~file:rel ~loc:Location.none "implementation does not parse" ];
             fr_metrics = [];
@@ -711,6 +727,7 @@ let lint_file ~root rel =
   { p_rel = rel;
     p_allows = allows;
     p_str = str;
+    p_sig = sg;
     p_report =
       { report with
         fr_violations = List.filter (fun v -> not (allowed allows v)) report.fr_violations
@@ -797,29 +814,41 @@ let run ?(doc = default_doc) ~root () =
   in
   let allows_by_file = Hashtbl.create (List.length parsed) in
   List.iter (fun p -> Hashtbl.replace allows_by_file p.p_rel p.p_allows) parsed;
+  let not_allowed v =
+    not (allowed (Option.value ~default:[] (Hashtbl.find_opt allows_by_file v.file)) v)
+  in
   let eff, findings = Effects.analyze (Callgraph.build impls) in
   let inter =
-    List.filter_map
+    List.map
       (fun f ->
         let rule = rule_exn f.Effects.f_rule in
-        let v =
-          { rule_id = rule.id;
-            rule_name = rule.rname;
-            file = f.Effects.f_file;
-            line = f.Effects.f_line;
-            col = f.Effects.f_col;
-            msg = f.Effects.f_msg;
-            vhint = rule.hint;
-          }
-        in
-        let allows =
-          Option.value ~default:[] (Hashtbl.find_opt allows_by_file v.file)
-        in
-        if allowed allows v then None else Some v)
+        { rule_id = rule.id;
+          rule_name = rule.rname;
+          file = f.Effects.f_file;
+          line = f.Effects.f_line;
+          col = f.Effects.f_col;
+          msg = f.Effects.f_msg;
+          vhint = rule.hint;
+        })
       findings
   in
+  (* R11: lib/ interface vals against every implementation outside test/ *)
+  let unused =
+    Exports.unused
+      ~impls:(List.filter (fun (rel, _) -> not (under "test" rel)) impls)
+      ~sigs:
+        (List.filter_map
+           (fun p -> if under "lib" p.p_rel then Option.map (fun s -> (p.p_rel, s)) p.p_sig else None)
+           parsed)
+    |> List.map (fun e ->
+           violation ~rule:(rule_exn "R11") ~file:e.Exports.e_file ~loc:e.Exports.e_loc
+             (Printf.sprintf "`%s` is exported but nothing outside test/ references it"
+                (Exports.fq e)))
+  in
   { files_scanned = List.length files;
-    violations = List.sort_uniq compare_violation (ast_violations @ r6 @ inter);
+    violations =
+      List.sort_uniq compare_violation
+        (ast_violations @ r6 @ List.filter not_allowed (inter @ unused));
     summaries = Effects.render_table eff;
   }
 

@@ -118,7 +118,19 @@ let seeds =
        '*' and reported it as not statically analyzable). *)
     ( "lib/relational/seed_r6_sprintf.ml",
       "R6",
-      "let m op = Obs.Metrics.counter (Printf.sprintf \"seed.sprintf.%s.missing\" op)\n" )
+      "let m op = Obs.Metrics.counter (Printf.sprintf \"seed.sprintf.%s.missing\" op)\n" );
+    (* R11: of these five exports only [only_tested] lacks a non-test
+       caller — [from_bin], [from_example] and [helper] (called from its
+       own module) are used, and [allowed] carries an allowlist comment.
+       The exact-count check below pins that R11 fires once, on line 1. *)
+    ( "lib/relational/seed_r11.mli",
+      "R11",
+      "val only_tested : int -> int\n\
+       val from_bin : int -> int\n\
+       val from_example : int -> int\n\
+       val helper : int -> int\n\
+       (* pdb_lint: allow R11 \xe2\x80\x94 self-test: allowlist must silence R11 *)\n\
+       val allowed : int -> int\n" )
   ]
 
 (* Fixtures that must produce NO violations: sanitizer recognition, the
@@ -143,7 +155,26 @@ let clean_seeds =
       "let enabled () = Sys.getenv_opt \"PDB_FAILPOINT\" <> None\n" );
     (* sprintf-built name matching the catalogued seed.dyn.<op>.rows. *)
     ( "lib/relational/seed_r6_dyn.ml",
-      "let m op = Obs.Metrics.counter (Printf.sprintf \"seed.dyn.%s.rows\" op)\n" )
+      "let m op = Obs.Metrics.counter (Printf.sprintf \"seed.dyn.%s.rows\" op)\n" );
+    (* R11's callers: only [only_tested] is left to a test/ file. *)
+    ( "lib/relational/seed_r11.ml",
+      "let helper x = x + 1\n\
+       let only_tested x = x\n\
+       let from_bin x = helper x\n\
+       let from_example x = x\n\
+       let allowed x = x\n" );
+    ("test/seed_r11_test.ml", "let () = ignore (Relational.Seed_r11.only_tested 1)\n");
+    ( "bin/seed_r11_cli.ml",
+      "open Seed_r11_opened\n\
+       let () = ignore (Relational.Seed_r11.from_bin 1 + anything)\n" );
+    ( "examples/seed_r11_example.ml",
+      "module S = Set.Make (Seed_r11_functor)\n\
+       let () = ignore (Seed_r11.from_example 1)\n" );
+    (* Modules opened or passed to a functor count as using every export. *)
+    ("lib/relational/seed_r11_opened.mli", "val anything : int\n");
+    ("lib/relational/seed_r11_opened.ml", "let anything = 1\n");
+    ("lib/relational/seed_r11_functor.mli", "type t = int\nval compare : t -> t -> int\n");
+    ("lib/relational/seed_r11_functor.ml", "type t = int\nlet compare = Int.compare\n")
   ]
 
 (* The same violations under allowlist comments must be silent. *)
@@ -212,6 +243,10 @@ let self_test () =
                 v.Lint_engine.rule_id v.Lint_engine.msg)
           vs)
     seeds;
+  (* R11 fires exactly once, on the export only a test calls *)
+  (match by_file "lib/relational/seed_r11.mli" with
+  | [ v ] when Int.equal v.Lint_engine.line 1 -> ()
+  | vs -> fail "seed_r11.mli: expected exactly 1 R11 violation on line 1, got %d" (List.length vs));
   (* exactly the bad_* lines of the immediate-operand seed fire: more would
      mean an ok_* exemption regressed, fewer that a narrowing was lost *)
   (let imm = by_file "lib/relational/seed_r1_immediate.ml" in
