@@ -137,7 +137,7 @@ let capture_tables db =
            t_indexed =
              List.filter (Table.has_index tbl) (Schema.names schema)
              |> List.sort String.compare;
-           t_rows = Bag.to_list (Table.rows tbl);
+           t_rows = Table.sorted_entries tbl;
          })
   |> List.sort (fun a b -> String.compare a.t_name b.t_name)
 

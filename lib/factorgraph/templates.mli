@@ -22,9 +22,36 @@ val unroll_chain :
     between every pair of positions with identical token strings (the
     skip-chain CRF of Figure 3).
 
-    Feature names follow ["emit:<string>:<label>"], ["trans:<l1>:<l2>"],
-    ["bias:<label>"], and ["skip:<same|diff>"], so weights learned here are
-    interchangeable with the lazy {!Ie} scorer. *)
+    Feature names follow ["emit:<string>:<label>"], ["shape:<shape>:<label>"],
+    ["trans:<l1>:<l2>"], ["bias:<label>"], and ["skip:<same|diff>"], so
+    weights learned here are interchangeable with the lazy {!Ie} scorer.
+    Every factor's ids are resolved ({!resolve}, {!emission_ids},
+    {!shape_ids}) while
+    unrolling; the factor closures only read weights by id. *)
+
+(** The chain model's feature ids for one label domain, interned into
+    one parameter store. Arrays are indexed by domain index: [bias.(l)],
+    [trans.((l * k) + l')] for [k] labels. Interning allocates zero
+    weights for features the store has not seen, so a later {!Params.set}
+    or SampleRank update by name lands on the id read here. *)
+type ids = private {
+  params : Params.t;
+  label_names : string array;  (** domain values, by index *)
+  bias : int array;
+  trans : int array;
+  skip_same : int;
+  skip_diff : int;
+}
+
+val resolve : Params.t -> Domain.t -> ids
+(** Interns the features that depend on labels alone: one bias per
+    label, one transition per label pair, and the two skip features. *)
+
+val emission_ids : ids -> string -> int array
+(** The emission ids of one observed string, by label index. *)
+
+val shape_ids : ids -> string -> int array
+(** The shape ids of one observed string's {!word_shape}, by label index. *)
 
 val emission_feature : string -> string -> string
 val transition_feature : string -> string -> string

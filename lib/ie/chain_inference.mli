@@ -4,8 +4,9 @@
     for). *)
 
 val model_of_doc : Crf.t -> doc:int -> Factorgraph.Chain_fb.model
-(** Node potentials are emission+bias, edge potentials the transition
-    weights, all read live from the CRF's parameter store. *)
+(** Node potentials are emission + shape + bias, edge potentials the
+    transition weights, read by id from the CRF's compiled model when
+    the model is built ({!Crf.node_weight}, {!Crf.transition_weight}). *)
 
 (* pdb_lint: allow R11 — reference implementation: MCMC and generative-eval marginals are tested against it *)
 val marginals : Crf.t -> doc:int -> float array array

@@ -1,9 +1,24 @@
 open Factorgraph
 
+let n_labels = Array.length Labels.all
+
+(* The compiled model. Every factor weight the scorer reads is a
+   {!Params} id resolved here once: per word type (the TOKEN string
+   column's distinct Intern ids, ~130 in the generated corpus) for
+   emission and shape, per label for bias, per label pair for
+   transitions. The only per-token array the model adds is [word]. *)
 type t = {
   params : Params.t;
   world : Core.World.t;
-  strings : string array;
+  word : int array; (* token position -> word type *)
+  types : int array; (* word type -> Intern id of its string *)
+  emit : int array; (* (word type * n_labels) + label index -> feature id *)
+  shape : int array; (* same layout *)
+  bias : int array; (* label index -> feature id *)
+  trans : int array; (* (left * n_labels) + right -> feature id *)
+  skip_same : int;
+  skip_diff : int;
+  id_buf : int array; (* [local_ids]'s output; a model scores on one domain *)
   labels : Labels.t array;
   truth : Labels.t array;
   doc_of : int array;
@@ -12,15 +27,55 @@ type t = {
   skip_edges : bool;
   clamped : bool array;
   mutable unclamped_cache : int array option;
-  mutable string_docs : (string, int list) Hashtbl.t option;
+  mutable type_docs : int list array option;
 }
 
 let max_skip_degree = 20
 
+(* Skip partners: identical capitalized strings within a document,
+   grouped by word type. Each member of a group would keep its first
+   [max_skip_degree] partners; a pair survives only when both members keep
+   each other, which leaves exactly the first [max_skip_degree + 1]
+   members of a larger group fully connected and the rest without skip
+   factors — both endpoints of every skip factor see it. *)
+let skip_partners_of ~word ~capitalized ~n_types doc_ranges =
+  let partners = Array.make (Array.length word) [||] in
+  let members = Array.make n_types [] in
+  Array.iter
+    (fun (start, stop) ->
+      let seen = ref [] in
+      for p = start to stop - 1 do
+        let ty = word.(p) in
+        if capitalized.(ty) then begin
+          (match members.(ty) with [] -> seen := ty :: !seen | _ :: _ -> ());
+          members.(ty) <- p :: members.(ty)
+        end
+      done;
+      List.iter
+        (fun ty ->
+          let group = Array.of_list (List.rev members.(ty)) in
+          members.(ty) <- [];
+          let group =
+            if Array.length group > max_skip_degree + 1 then Array.sub group 0 (max_skip_degree + 1)
+            else group
+          in
+          if Array.length group > 1 then
+            Array.iteri
+              (fun idx p ->
+                partners.(p) <-
+                  Array.of_list (List.filteri (fun j _ -> j <> idx) (Array.to_list group)))
+              group)
+        !seen)
+    doc_ranges;
+  partners
+
+let max_id = Array.fold_left Int.max (-1)
+
 let create ?(skip_edges = true) ~params world =
   let open Relational in
   let table = Database.table (Core.World.db world) Token_table.table_name in
-  let strings, labels, truth, doc_of =
+  (* [strs] holds each position's Intern id of its string. *)
+  let strs, labels, truth, doc_of =
     match Table.column_ints table "tok_id" with
     | Some tok ->
       (* Columnar bulk read: raw int columns, no boxed rows at any point —
@@ -44,17 +99,17 @@ let create ?(skip_edges = true) ~params world =
       let perm = Array.init n (fun i -> i) in
       if not sorted then Array.sort (fun a b -> Int.compare tok.(a) tok.(b)) perm;
       (* Distinct label strings number |Labels.all| + whatever TRUTH holds;
-         parse each interned id once. *)
-      let label_cache : (int, Labels.t) Hashtbl.t = Hashtbl.create 16 in
+         parse each interned id once, into a table indexed by id. *)
+      let label_cache = Array.make (Int.max (max_id lab) (max_id tru) + 1) None in
       let label_of id =
-        match Hashtbl.find_opt label_cache id with
+        match label_cache.(id) with
         | Some l -> l
         | None ->
           let l = Labels.of_string (Intern.resolve id) in
-          Hashtbl.replace label_cache id l;
+          label_cache.(id) <- Some l;
           l
       in
-      ( Array.init n (fun i -> Intern.resolve str.(perm.(i))),
+      ( Array.init n (fun i -> str.(perm.(i))),
         Array.init n (fun i -> label_of lab.(perm.(i))),
         Array.init n (fun i -> label_of tru.(perm.(i))),
         Array.init n (fun i -> doc.(perm.(i))) )
@@ -70,12 +125,37 @@ let create ?(skip_edges = true) ~params world =
       and c_str = col "string"
       and c_lab = col "label"
       and c_tru = col "truth" in
-      ( Array.map (fun r -> Value.to_string (Row.get r c_str)) rows,
+      ( Array.map (fun r -> Intern.intern (Value.to_string (Row.get r c_str))) rows,
         Array.map (fun r -> Labels.of_string (Value.to_string (Row.get r c_lab))) rows,
         Array.map (fun r -> Labels.of_string (Value.to_string (Row.get r c_tru))) rows,
         Array.map (fun r -> Value.to_int (Row.get r c_doc)) rows )
   in
-  let n = Array.length strings in
+  let n = Array.length strs in
+  (* Word types, numbered in first-occurrence order through an array
+     indexed by Intern id — equal strings share an id, so no string is
+     hashed per token. *)
+  let type_of = Array.make (max_id strs + 1) (-1) in
+  let types = ref [] and n_types = ref 0 in
+  let word =
+    Array.map
+      (fun id ->
+        if type_of.(id) < 0 then begin
+          type_of.(id) <- !n_types;
+          types := id :: !types;
+          incr n_types
+        end;
+        type_of.(id))
+      strs
+  in
+  let types = Array.of_list (List.rev !types) in
+  let ids = Templates.resolve params Labels.domain in
+  let emit = Array.make (!n_types * n_labels) 0 and shape = Array.make (!n_types * n_labels) 0 in
+  Array.iteri
+    (fun ty id ->
+      let s = Intern.resolve id in
+      Array.blit (Templates.emission_ids ids s) 0 emit (ty * n_labels) n_labels;
+      Array.blit (Templates.shape_ids ids s) 0 shape (ty * n_labels) n_labels)
+    types;
   (* Document ranges: token ids are dense in document order. *)
   let ranges = ref [] in
   let i = ref 0 in
@@ -86,54 +166,25 @@ let create ?(skip_edges = true) ~params world =
     ranges := (start, !i) :: !ranges
   done;
   let doc_ranges = Array.of_list (List.rev !ranges) in
-  (* Skip partners: identical capitalized strings within a document. *)
   let skip_partners =
     if not skip_edges then Array.make n [||]
-    else begin
-      let partners = Array.make n [||] in
-      Array.iter
-        (fun (start, stop) ->
-          let groups : (string, int list ref) Hashtbl.t = Hashtbl.create 32 in
-          for p = start to stop - 1 do
-            if Lexicon.is_capitalized strings.(p) then begin
-              match Hashtbl.find_opt groups strings.(p) with
-              | Some l -> l := p :: !l
-              | None -> Hashtbl.replace groups strings.(p) (ref [ p ])
-            end
-          done;
-          Hashtbl.iter
-            (fun _ l ->
-              let members = Array.of_list (List.rev !l) in
-              if Array.length members > 1 then
-                Array.iteri
-                  (fun idx p ->
-                    let others =
-                      Array.of_list
-                        (List.filteri
-                           (fun j _ -> j <> idx)
-                           (Array.to_list members))
-                    in
-                    let others =
-                      if Array.length others > max_skip_degree then
-                        Array.sub others 0 max_skip_degree
-                      else others
-                    in
-                    partners.(p) <- others)
-                  members)
-            groups)
-        doc_ranges;
-      partners
-    end
+    else
+      skip_partners_of ~word
+        ~capitalized:(Array.map (fun id -> Lexicon.is_capitalized (Intern.resolve id)) types)
+        ~n_types:!n_types doc_ranges
   in
-  { params; world; strings; labels; truth; doc_of; doc_ranges; skip_partners; skip_edges;
-    clamped = Array.make n false; unclamped_cache = None; string_docs = None }
+  { params; world; word; types; emit; shape; bias = ids.Templates.bias; trans = ids.trans;
+    skip_same = ids.skip_same; skip_diff = ids.skip_diff;
+    id_buf = Array.make (max_skip_degree + 5) 0;
+    labels; truth; doc_of; doc_ranges; skip_partners; skip_edges;
+    clamped = Array.make n false; unclamped_cache = None; type_docs = None }
 
 let params t = t.params
 let world t = t.world
 let has_skip_edges t = t.skip_edges
-let n_tokens t = Array.length t.strings
+let n_tokens t = Array.length t.word
 let n_docs t = Array.length t.doc_ranges
-let token_string t i = t.strings.(i)
+let token_string t i = Relational.Intern.resolve t.types.(t.word.(i))
 let doc_of t i = t.doc_of.(i)
 
 let doc_token_range t d =
@@ -156,27 +207,30 @@ let doc_index_at t pos =
 
 let docs_containing t s =
   let table =
-    match t.string_docs with
-    | Some h -> h
+    match t.type_docs with
+    | Some a -> a
     | None ->
-      let h = Hashtbl.create 1024 in
+      let a = Array.make (Array.length t.types) [] in
       (* Dense document indices, built range by range so the dedup head
          check works even when positions of one doc are visited across
          a range boundary. *)
       Array.iteri
         (fun d (start, stop) ->
           for pos = start to stop - 1 do
-            let str = t.strings.(pos) in
-            match Hashtbl.find_opt h str with
-            | Some (d' :: _) when d' = d -> ()
-            | Some ds -> Hashtbl.replace h str (d :: ds)
-            | None -> Hashtbl.replace h str [ d ]
+            let ty = t.word.(pos) in
+            match a.(ty) with d' :: _ when d' = d -> () | ds -> a.(ty) <- d :: ds
           done)
         t.doc_ranges;
-      t.string_docs <- Some h;
-      h
+      t.type_docs <- Some a;
+      a
   in
-  List.sort Int.compare (Option.value ~default:[] (Hashtbl.find_opt table s))
+  let docs =
+    match Relational.Intern.find_opt s with
+    | None -> []
+    | Some id -> (
+      match Array.find_index (Int.equal id) t.types with Some ty -> table.(ty) | None -> [])
+  in
+  List.sort Int.compare docs
 
 let label t i = t.labels.(i)
 let truth t i = t.truth.(i)
@@ -188,43 +242,77 @@ let skip_partners t i = t.skip_partners.(i)
 
 let same_doc t i j = t.doc_of.(i) = t.doc_of.(j)
 
-let local_features t ~pos l acc scale =
-  let add k v = acc := (k, v *. scale) :: !acc in
-  let ls = Labels.to_string l in
-  add (Templates.emission_feature t.strings.(pos) ls) 1.;
-  add (Templates.shape_feature t.strings.(pos) ls) 1.;
-  add (Templates.bias_feature ls) 1.;
-  let n = Array.length t.strings in
-  if pos > 0 && same_doc t (pos - 1) pos then
-    add (Templates.transition_feature (Labels.to_string t.labels.(pos - 1)) ls) 1.;
-  if pos + 1 < n && same_doc t pos (pos + 1) then
-    add (Templates.transition_feature ls (Labels.to_string t.labels.(pos + 1))) 1.;
-  Array.iter
-    (fun j -> add (Templates.skip_feature ~same:(t.labels.(j) = l)) 1.)
-    t.skip_partners.(pos)
-
-let local_score t ~pos l =
-  let acc = ref [] in
-  local_features t ~pos l acc 1.;
-  Params.dot t.params !acc
+(* The feature ids of every factor touching [pos] when it holds label
+   index [li], written to [t.id_buf] in summation order — skip partners
+   last to first, the right transition, the left transition, bias, shape,
+   emission — and their count returned. The order is part of the model:
+   float addition does not commute bit for bit, and the sample paths (the
+   pinned smoke digests, the name-keyed reference in test/test_ie.ml) are
+   defined by this one. *)
+let local_ids t ~pos li =
+  let buf = t.id_buf and partners = t.skip_partners.(pos) in
+  let np = Array.length partners in
+  for k = 0 to np - 1 do
+    buf.(k) <-
+      (if Labels.index t.labels.(partners.(np - 1 - k)) = li then t.skip_same else t.skip_diff)
+  done;
+  let n = ref np in
+  if pos + 1 < Array.length t.word && same_doc t pos (pos + 1) then begin
+    buf.(!n) <- t.trans.((li * n_labels) + Labels.index t.labels.(pos + 1));
+    incr n
+  end;
+  if pos > 0 && same_doc t (pos - 1) pos then begin
+    buf.(!n) <- t.trans.((Labels.index t.labels.(pos - 1) * n_labels) + li);
+    incr n
+  end;
+  let k = (t.word.(pos) * n_labels) + li in
+  buf.(!n) <- t.bias.(li);
+  buf.(!n + 1) <- t.shape.(k);
+  buf.(!n + 2) <- t.emit.(k);
+  !n + 3
 
 let delta_log_score t ~pos l =
-  if l = t.labels.(pos) then 0.
-  else local_score t ~pos l -. local_score t ~pos t.labels.(pos)
+  let li = Labels.index l and lc = Labels.index t.labels.(pos) in
+  if li = lc then 0.
+  else begin
+    let w = Params.weights t.params and buf = t.id_buf in
+    let s = ref 0. in
+    for i = 0 to local_ids t ~pos li - 1 do
+      s := !s +. w.(buf.(i))
+    done;
+    let s' = ref 0. in
+    for i = 0 to local_ids t ~pos lc - 1 do
+      s' := !s' +. w.(buf.(i))
+    done;
+    !s -. !s'
+  end
 
 let delta_features t ~pos l =
   if l = t.labels.(pos) then []
   else begin
-    let acc = ref [] in
-    local_features t ~pos t.labels.(pos) acc (-1.);
-    local_features t ~pos l acc 1.;
+    (* [(name, scale)] for each factor touching [pos] with label [l], in
+       summation order, in front of [acc]. *)
+    let features l scale acc =
+      let n = local_ids t ~pos (Labels.index l) in
+      let acc = ref acc in
+      for i = n - 1 downto 0 do
+        acc := (Params.name t.params t.id_buf.(i), scale) :: !acc
+      done;
+      !acc
+    in
     (* Merge identical feature names. *)
     let h = Hashtbl.create 16 in
     List.iter
       (fun (k, v) -> Hashtbl.replace h k (v +. Option.value ~default:0. (Hashtbl.find_opt h k)))
-      !acc;
+      (features l 1. (features t.labels.(pos) (-1.) []));
     Hashtbl.fold (fun k v out -> if v <> 0. then (k, v) :: out else out) h []
   end
+
+let node_weight t ~pos li =
+  let w = Params.weights t.params and k = (t.word.(pos) * n_labels) + li in
+  w.(t.emit.(k)) +. w.(t.shape.(k)) +. w.(t.bias.(li))
+
+let transition_weight t l l' = (Params.weights t.params).(t.trans.((l * n_labels) + l'))
 
 (* Factor instances touched by a set of positions, de-duplicated: emission
    and bias at each position, the transitions on both sides, and incident
@@ -237,7 +325,7 @@ type factor_instance =
 let touched_factors t positions =
   let seen = Hashtbl.create 32 in
   let add f = if not (Hashtbl.mem seen f) then Hashtbl.replace seen f () in
-  let n = Array.length t.strings in
+  let n = Array.length t.word in
   List.iter
     (fun pos ->
       add (F_local pos);
@@ -250,18 +338,12 @@ let touched_factors t positions =
   Hashtbl.fold (fun f () acc -> f :: acc) seen []
 
 let factor_instance_score t = function
-  | F_local pos ->
-    let ls = Labels.to_string t.labels.(pos) in
-    Params.get t.params (Templates.emission_feature t.strings.(pos) ls)
-    +. Params.get t.params (Templates.shape_feature t.strings.(pos) ls)
-    +. Params.get t.params (Templates.bias_feature ls)
+  | F_local pos -> node_weight t ~pos (Labels.index t.labels.(pos))
   | F_trans pos ->
-    Params.get t.params
-      (Templates.transition_feature
-         (Labels.to_string t.labels.(pos))
-         (Labels.to_string t.labels.(pos + 1)))
+    transition_weight t (Labels.index t.labels.(pos)) (Labels.index t.labels.(pos + 1))
   | F_skip (i, j) ->
-    Params.get t.params (Templates.skip_feature ~same:(t.labels.(i) = t.labels.(j)))
+    let same = Labels.index t.labels.(i) = Labels.index t.labels.(j) in
+    (Params.weights t.params).(if same then t.skip_same else t.skip_diff)
 
 let delta_log_score_multi t changes =
   let changes = List.filter (fun (pos, l) -> t.labels.(pos) <> l) changes in
@@ -322,44 +404,49 @@ let unclamped_positions t =
 
 let default_params () =
   let p = Params.create () in
-  let set = Params.set p in
-  let emit s l w = set (Templates.emission_feature s (Labels.to_string l)) w in
-  Array.iter (fun s -> emit s (Labels.B Per) 2.2) Lexicon.first_names;
+  let ids = Templates.resolve p Labels.domain in
+  let set id w = Params.set_weight p id w in
+  let emit l w s =
+    (* pdb_lint: allow R7 — cold path: names one lexicon weight, once per model *)
+    Params.set p (Templates.emission_feature s (Labels.to_string l)) w
+  in
+  let trans a b w = set ids.trans.((Labels.index a * n_labels) + Labels.index b) w in
+  Array.iter (emit (Labels.B Per) 2.2) Lexicon.first_names;
   Array.iter
     (fun s ->
-      emit s (Labels.I Per) 2.0;
-      emit s (Labels.B Per) 0.8)
+      emit (Labels.I Per) 2.0 s;
+      emit (Labels.B Per) 0.8 s)
     Lexicon.last_names;
-  Array.iter (fun s -> emit s (Labels.B Org) 2.2) Lexicon.org_words;
-  Array.iter (fun s -> emit s (Labels.I Org) 2.0) Lexicon.org_suffixes;
-  Array.iter (fun s -> emit s (Labels.B Loc) 2.2) Lexicon.locations;
-  Array.iter (fun s -> emit s (Labels.B Misc) 2.0) Lexicon.misc_words;
+  Array.iter (emit (Labels.B Org) 2.2) Lexicon.org_words;
+  Array.iter (emit (Labels.I Org) 2.0) Lexicon.org_suffixes;
+  Array.iter (emit (Labels.B Loc) 2.2) Lexicon.locations;
+  Array.iter (emit (Labels.B Misc) 2.0) Lexicon.misc_words;
   (* City strings stay genuinely ambiguous between LOC and ORG: both got
      2.2 above (they sit in both pools), which is the uncertainty Query 4
      relies on. Tilt very slightly toward LOC. *)
-  Array.iter (fun s -> emit s (Labels.B Loc) 2.3) Lexicon.ambiguous_city_orgs;
-  Array.iter (fun s -> emit s Labels.O 3.5) Lexicon.common_words;
+  Array.iter (emit (Labels.B Loc) 2.3) Lexicon.ambiguous_city_orgs;
+  Array.iter (emit Labels.O 3.5) Lexicon.common_words;
   (* Transitions: continuations must follow their opener. *)
+  let entities = [ Labels.Per; Labels.Org; Labels.Loc; Labels.Misc ] in
   List.iter
     (fun e ->
-      let b = Labels.to_string (Labels.B e) and i = Labels.to_string (Labels.I e) in
-      set (Templates.transition_feature b i) 1.2;
-      set (Templates.transition_feature i i) 0.8;
-      set (Templates.transition_feature "O" i) (-3.);
+      trans (Labels.B e) (Labels.I e) 1.2;
+      trans (Labels.I e) (Labels.I e) 0.8;
+      trans Labels.O (Labels.I e) (-3.);
       List.iter
         (fun e' ->
           if e <> e' then begin
-            set (Templates.transition_feature (Labels.to_string (Labels.B e')) i) (-3.);
-            set (Templates.transition_feature (Labels.to_string (Labels.I e')) i) (-3.)
+            trans (Labels.B e') (Labels.I e) (-3.);
+            trans (Labels.I e') (Labels.I e) (-3.)
           end)
-        [ Labels.Per; Labels.Org; Labels.Loc; Labels.Misc ])
-    [ Labels.Per; Labels.Org; Labels.Loc; Labels.Misc ];
-  set (Templates.transition_feature "O" "O") 0.4;
+        entities)
+    entities;
+  trans Labels.O Labels.O 0.4;
   (* Bias: "O" is the most frequent label; lowercase shapes are almost
      always O, a weak generalization beyond the lexicon. *)
-  set (Templates.bias_feature "O") 0.8;
-  set (Templates.shape_feature "a" "O") 0.5;
+  set ids.bias.(Labels.index Labels.O) 0.8;
+  set (Templates.shape_ids ids "a").(Labels.index Labels.O) 0.5;
   (* Skip edges prefer agreeing labels. *)
-  set (Templates.skip_feature ~same:true) 0.8;
-  set (Templates.skip_feature ~same:false) (-0.4);
+  set ids.skip_same 0.8;
+  set ids.skip_diff (-0.4);
   p

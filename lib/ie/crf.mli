@@ -7,15 +7,25 @@
     log-score of changing one token's label: exactly the quantity MH needs,
     in O(degree) time independent of database size (§5.3, Appendix 9.2).
 
+    The model is compiled once, in {!create}: every weight it reads is a
+    {!Factorgraph.Params} id, resolved per word type (emission, shape), per
+    label (bias) and per label pair (transition), so a score is a handful
+    of array reads — no feature name is formatted or hashed per proposal.
     Feature names coincide with {!Factorgraph.Templates}, so weights are
     interchangeable between the lazy and materialized representations (a
-    property the test suite checks). *)
+    property the test suite checks), and SampleRank's updates by name land
+    on the ids the model reads. *)
 
 type t
 
 val create : ?skip_edges:bool -> params:Factorgraph.Params.t -> Core.World.t -> t
 (** Reads the TOKEN table of the world's database. [skip_edges] defaults to
-    true (the full skip-chain model); false gives the linear-chain CRF. *)
+    true (the full skip-chain model); false gives the linear-chain CRF.
+    Interns every feature the model can read into [params] (at weight 0
+    when unset). Skip edges join identical capitalized strings of one
+    document; a group larger than 21 keeps skip factors among its first
+    21 members only, so each member has at most 20 partners and every
+    skip factor is seen from both of its ends. *)
 
 val params : t -> Factorgraph.Params.t
 val world : t -> Core.World.t
@@ -51,6 +61,12 @@ val delta_log_score : t -> pos:int -> Labels.t -> float
 
 val delta_features : t -> pos:int -> Labels.t -> (string * float) list
 (** Sparse φ(w′) − φ(w) over the touched factors (SampleRank's input). *)
+
+val node_weight : t -> pos:int -> int -> float
+(** [(emission + shape) + bias] at a position for a label index. *)
+
+val transition_weight : t -> int -> int -> float
+(** The transition weight between two label indices. *)
 
 val delta_log_score_multi : t -> (int * Labels.t) list -> float
 (** Delta log-score of a joint change to several positions (each position at

@@ -14,7 +14,7 @@ let to_string = function
   | I e -> "I-" ^ entity_string e
 
 (* Position in {!all}; total, branch-only. *)
-let ordinal = function
+let index = function
   | O -> 0
   | B Per -> 1
   | I Per -> 2
@@ -43,8 +43,8 @@ let of_string_opt = function
          one label per row, and the truth/label arrays then all point at
          nine blocks total. *)
       match entity, s.[0], s.[1] with
-      | Some e, 'B', '-' -> Some all.(ordinal (B e))
-      | Some e, 'I', '-' -> Some all.(ordinal (I e))
+      | Some e, 'B', '-' -> Some all.(index (B e))
+      | Some e, 'I', '-' -> Some all.(index (I e))
       | _ -> None)
 
 let of_string s =
@@ -56,16 +56,13 @@ let of_string s =
    sampler's accepted-flip path writes [value l] into the TOKEN table
    without allocating text (lint rule R7). *)
 let interned = Array.map (fun l -> Relational.Intern.intern (to_string l)) all
-let value l = Relational.Intern.value interned.(ordinal l)
+let value l = Relational.Intern.value interned.(index l)
 
 let domain = Factorgraph.Domain.make (Array.to_list (Array.map to_string all))
 
-let index l =
-  match Factorgraph.Domain.index_opt domain (to_string l) with
-  | Some i -> i
-  | None -> assert false
-
-let of_index i = of_string (Factorgraph.Domain.value domain i)
+let of_index i =
+  if i < 0 || i >= Array.length all then invalid_arg "Labels.of_index";
+  all.(i)
 
 let valid_transition ~prev l =
   match l with

@@ -23,7 +23,11 @@ val domain : Factorgraph.Domain.t
 (** The label set as a factor-graph domain, in {!all} order. *)
 
 val index : t -> int
+(** Position in {!all} (and so in {!domain}); total and branch-only, so
+    scorers use it to index their per-label weight tables. *)
+
 val of_index : int -> t
+(** Inverse of {!index}; raises [Invalid_argument] outside [0, 9). *)
 
 val valid_transition : prev:t option -> t -> bool
 (** BIO validity: I-T may only follow B-T or I-T; [prev = None] means

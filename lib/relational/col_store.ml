@@ -305,6 +305,28 @@ let to_bag t =
     t.cached_bag <- Some bag;
     bag
 
+let pk_ordered_entries t =
+  match t.cols.(t.pk) with
+  | C_int keys when Int.equal t.pk 0 ->
+    let ordered =
+      t.dense
+      ||
+      let ok = ref true in
+      for slot = 1 to t.len - 1 do
+        if keys.(slot - 1) >= keys.(slot) then ok := false
+      done;
+      !ok
+    in
+    if ordered then begin
+      let acc = ref [] in
+      for slot = t.len - 1 downto 0 do
+        acc := (decode_row t slot, 1) :: !acc
+      done;
+      Some !acc
+    end
+    else None
+  | _ -> None
+
 let create_index t col =
   (match t.cols.(col) with
   | C_float _ ->

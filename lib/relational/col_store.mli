@@ -61,6 +61,14 @@ val to_bag : t -> Bag.t
 (** Materialise the whole store as a fresh bag of decoded rows (every
     count 1). O(n); the caller owns the result. *)
 
+val pk_ordered_entries : t -> (Row.t * int) list option
+(** Every row with count 1, decoded straight from the slots, when the
+    primary key is column 0 and the slots hold the rows in key order —
+    then slot order is {!Row.compare} order, and the list equals
+    [Bag.to_list (to_bag t)] without building (or caching) the bag.
+    [None] otherwise, e.g. after a deletion moved the last row into a
+    hole. *)
+
 val create_index : t -> int -> unit
 (** Build (or rebuild) a secondary index on a column. Raises
     [Invalid_argument] for float columns. *)

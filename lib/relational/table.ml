@@ -143,6 +143,14 @@ let update_field_by_pk t key ~column v =
 
 let rows t = match t.store with Boxed b -> b.rows | Columnar c -> Col_store.to_bag c
 
+let sorted_entries t =
+  match t.store with
+  | Columnar c -> (
+    match Col_store.pk_ordered_entries c with
+    | Some entries -> entries
+    | None -> Bag.to_list (Col_store.to_bag c))
+  | Boxed b -> Bag.to_list b.rows
+
 let create_index t column =
   let col = Schema.index_of t.schema column in
   match t.store with

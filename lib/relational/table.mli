@@ -62,6 +62,13 @@ val rows : t -> Bag.t
     Columnar backend: a fresh decoded snapshot (O(n), caller-owned)
     that does not track later table mutations. *)
 
+val sorted_entries : t -> (Row.t * int) list
+(** [Bag.to_list (rows t)]: every distinct row with its count, sorted by
+    {!Row.compare}. A columnar table whose slots are already in that
+    order ({!Col_store.pk_ordered_entries}) emits its rows straight from
+    the slots, so a snapshot of a 100k-token TOKEN table neither decodes
+    it into a hash bag nor keeps that bag cached on the store. *)
+
 val column_ints : t -> string -> int array option
 (** Columnar backend only: the named column's raw encoding as a fresh
     int array in storage order — ints as themselves, text as {!Intern}

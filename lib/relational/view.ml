@@ -300,6 +300,7 @@ let vop_index = function
   | K_count_join _ -> 8
 
 let vop_delta_rows =
+  (* pdb_lint: allow R7 — module initialisation names one counter per operator, once per process *)
   Array.map (fun n -> Obs.Metrics.counter ("view." ^ n ^ ".delta_rows")) vop_names
 
 let m_probe_rows = Obs.Metrics.counter "view.join.probe_rows"

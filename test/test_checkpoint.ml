@@ -163,6 +163,62 @@ let prop_snapshot_roundtrip_byte_identical =
       let bytes' = Checkpoint.State.encode (Serve.Registry.snapshot reg') in
       String.equal bytes bytes')
 
+(* qcheck: the snapshot's table image is what sorting the decoded bag
+   gives, byte for byte, whether the columnar rows come straight from the
+   slots (pk column 0, slots in key order: loaded densely, or with gaps)
+   or take the bag fallback (a deletion moved the last row into a hole;
+   a pk that is not column 0). *)
+let prop_snapshot_tables_match_bag_path =
+  let schema cols = Schema.make (List.map (fun (name, ty) -> { Schema.name; ty }) cols) in
+  let texts = [| "Bill"; "IBM"; "the"; "B-PER"; "O" |] in
+  QCheck.Test.make ~name:"checkpoint: direct table image equals the bag path" ~count:60
+    QCheck.(triple (int_bound 40) (int_bound 2) (int_bound 10_000))
+    (fun (n, gap, seed) ->
+      let gap = gap + 1 in
+      let rng = Mcmc.Rng.create seed in
+      let row k =
+        [ Value.Int k; Value.Text (Mcmc.Rng.pick rng texts); Value.Bool (Mcmc.Rng.bool rng);
+          Value.Float (Mcmc.Rng.float rng 2.) ]
+      in
+      let db = Database.create () in
+      let cols = [ ("id", Value.T_int); ("s", Value.T_text); ("b", Value.T_bool); ("x", Value.T_float) ] in
+      let columnar name = Table.create_columnar ~pk:"id" ~name (schema cols) in
+      let dense = columnar "DENSE" and gapped = columnar "GAPPED" and churned = columnar "CHURNED" in
+      let pk_last =
+        Table.create_columnar ~pk:"id" ~name:"PK_LAST"
+          (schema [ ("s", Value.T_text); ("id", Value.T_int) ])
+      in
+      let boxed = Table.create ~pk:"id" ~name:"BOXED" (schema cols) in
+      List.iter (Database.add_table db) [ dense; gapped; churned; pk_last; boxed ];
+      for k = 0 to n - 1 do
+        Table.insert dense (Row.make (row k));
+        Table.insert gapped (Row.make (row (k * gap)));
+        Table.insert churned (Row.make (row k));
+        Table.insert pk_last (Row.make [ Value.Text (Mcmc.Rng.pick rng texts); Value.Int (n - k) ]);
+        Table.insert boxed (Row.make (row k))
+      done;
+      Table.create_index dense "s";
+      if n >= 3 then begin
+        (* Not the last two rows: the last row must land out of order. *)
+        let victim = Mcmc.Rng.int rng (n - 2) in
+        Table.delete churned (Option.get (Table.find_by_pk churned (Value.Int victim)));
+        let ids = Option.get (Table.column_ints churned "id") in
+        if Array.for_all2 (fun a b -> a < b) (Array.sub ids 0 (n - 2)) (Array.sub ids 1 (n - 2))
+        then Alcotest.fail "the churned table's slots are still in key order"
+      end;
+      let state tables =
+        { State.samples = 0; steps = 0; proposed = 0; accepted = 0; next_id = 0; rng = "";
+          tables; queries = [] }
+      in
+      let captured = State.capture_tables db in
+      let via_bag =
+        List.map
+          (fun ts ->
+            { ts with State.t_rows = Bag.to_list (Table.rows (Database.table db ts.State.t_name)) })
+          captured
+      in
+      String.equal (State.encode (state captured)) (State.encode (state via_bag)))
+
 let estimates_exactly_equal msg a b =
   let ea = Marginals.estimates a and eb = Marginals.estimates b in
   Alcotest.(check int) (msg ^ ": same support") (List.length ea) (List.length eb);
@@ -878,6 +934,7 @@ let () =
          Alcotest.test_case "atomic-write" `Quick test_atomic_write ]);
       ("snapshot",
        [ qc prop_snapshot_roundtrip_byte_identical;
+         qc prop_snapshot_tables_match_bag_path;
          Alcotest.test_case "restore-continues-stream" `Quick test_restore_continues_stream;
          Alcotest.test_case "file-corruption-detected" `Quick
            test_snapshot_file_corruption_detected;

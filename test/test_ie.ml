@@ -202,6 +202,201 @@ let test_crf_delta_features_consistent () =
     if Mcmc.Rng.bool rng then Crf.set_label_local crf ~pos l
   done
 
+(* More mentions of one capitalized string than [max_skip_degree + 1]
+   (21): every skip factor must be seen from both of its ends, or two
+   single flips score differently depending on their order. *)
+let test_crf_skip_cap_symmetric () =
+  let n = 23 in
+  let docs = one_doc (List.init n (fun _ -> "Bill")) (List.init n (fun _ -> Labels.B Per)) in
+  let _, crf = mk_crf docs in
+  for p = 0 to n - 1 do
+    let partners = Crf.skip_partners crf p in
+    Alcotest.(check bool) "degree capped" true (Array.length partners <= 20);
+    Array.iter
+      (fun j ->
+        if not (Array.mem p (Crf.skip_partners crf j)) then
+          Alcotest.failf "skip factor (%d, %d) is missing from %d's partners" p j j)
+      partners
+  done;
+  let check_pair a b la lb =
+    let da = Crf.delta_log_score crf ~pos:a la in
+    Crf.set_label_local crf ~pos:a la;
+    let a_then_b = da +. Crf.delta_log_score crf ~pos:b lb in
+    Crf.set_label_local crf ~pos:a Labels.O;
+    let db = Crf.delta_log_score crf ~pos:b lb in
+    Crf.set_label_local crf ~pos:b lb;
+    let b_then_a = db +. Crf.delta_log_score crf ~pos:a la in
+    Crf.set_label_local crf ~pos:b Labels.O;
+    let joint = Crf.delta_log_score_multi crf [ (a, la); (b, lb) ] in
+    let what = Printf.sprintf "flips at %d and %d" a b in
+    feq (what ^ ": either order") a_then_b b_then_a;
+    feq (what ^ ": joint") a_then_b joint
+  in
+  check_pair 0 22 (Labels.B Per) (Labels.B Per);
+  check_pair 0 21 (Labels.B Per) (Labels.I Per);
+  check_pair 3 22 (Labels.B Org) (Labels.B Per);
+  check_pair 21 22 (Labels.B Loc) (Labels.B Loc)
+
+(* The name-keyed scorer the compiled CRF replaced: every feature name
+   formatted, every weight looked up by name, summed in the same order.
+   The compiled model must reproduce it bit for bit. *)
+module Reference = struct
+  open Factorgraph
+
+  let label_s crf i = Labels.to_string (Crf.label crf i)
+  let same_doc crf i j = Crf.doc_of crf i = Crf.doc_of crf j
+
+  let local_score params crf ~pos l =
+    let acc = ref [] in
+    let add k = acc := (k, 1.) :: !acc in
+    let s = Crf.token_string crf pos and ls = Labels.to_string l in
+    add (Templates.emission_feature s ls);
+    add (Templates.shape_feature s ls);
+    add (Templates.bias_feature ls);
+    if pos > 0 && same_doc crf (pos - 1) pos then
+      add (Templates.transition_feature (label_s crf (pos - 1)) ls);
+    if pos + 1 < Crf.n_tokens crf && same_doc crf pos (pos + 1) then
+      add (Templates.transition_feature ls (label_s crf (pos + 1)));
+    Array.iter
+      (fun j -> add (Templates.skip_feature ~same:(Crf.label crf j = l)))
+      (Crf.skip_partners crf pos);
+    Params.dot params !acc
+
+  let delta params crf ~pos l =
+    if l = Crf.label crf pos then 0.
+    else local_score params crf ~pos l -. local_score params crf ~pos (Crf.label crf pos)
+
+  let node params crf ~pos l =
+    let s = Crf.token_string crf pos and ls = Labels.to_string l in
+    Params.get params (Templates.emission_feature s ls)
+    +. Params.get params (Templates.shape_feature s ls)
+    +. Params.get params (Templates.bias_feature ls)
+
+  let edge params l l' =
+    Params.get params (Templates.transition_feature (Labels.to_string l) (Labels.to_string l'))
+
+  (* Same constructors as the CRF's factor instances, so the Hashtbl
+     below enumerates them in the same order. *)
+  type factor = F_local of int | F_trans of int | F_skip of int * int
+
+  let touched crf positions =
+    let seen = Hashtbl.create 32 in
+    let add f = if not (Hashtbl.mem seen f) then Hashtbl.replace seen f () in
+    List.iter
+      (fun pos ->
+        add (F_local pos);
+        if pos > 0 && same_doc crf (pos - 1) pos then add (F_trans (pos - 1));
+        if pos + 1 < Crf.n_tokens crf && same_doc crf pos (pos + 1) then add (F_trans pos);
+        Array.iter (fun j -> add (F_skip (min pos j, max pos j))) (Crf.skip_partners crf pos))
+      positions;
+    Hashtbl.fold (fun f () acc -> f :: acc) seen []
+
+  let factor_score params crf = function
+    | F_local pos -> node params crf ~pos (Crf.label crf pos)
+    | F_trans pos -> edge params (Crf.label crf pos) (Crf.label crf (pos + 1))
+    | F_skip (i, j) ->
+      Params.get params (Templates.skip_feature ~same:(Crf.label crf i = Crf.label crf j))
+
+  let delta_multi params crf changes =
+    let changes = List.filter (fun (pos, l) -> Crf.label crf pos <> l) changes in
+    if changes = [] then 0.
+    else begin
+      let fs = touched crf (List.map fst changes) in
+      let sum () = List.fold_left (fun acc f -> acc +. factor_score params crf f) 0. fs in
+      let before = sum () in
+      let saved = List.map (fun (pos, _) -> (pos, Crf.label crf pos)) changes in
+      List.iter (fun (pos, l) -> Crf.set_label_local crf ~pos l) changes;
+      let after = sum () in
+      List.iter (fun (pos, l) -> Crf.set_label_local crf ~pos l) saved;
+      after -. before
+    end
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Random weights on every kind of feature the model reads, at values
+   whose sums depend on their order. *)
+let randomize_params rng params crf =
+  let open Factorgraph in
+  let w () = Mcmc.Rng.float rng 6. -. 3. in
+  let label_names = Array.map Labels.to_string Labels.all in
+  for pos = 0 to Crf.n_tokens crf - 1 do
+    let s = Crf.token_string crf pos in
+    let l = Mcmc.Rng.pick rng label_names in
+    if Mcmc.Rng.bool rng then Params.set params (Templates.emission_feature s l) (w ());
+    if Mcmc.Rng.bool rng then Params.set params (Templates.shape_feature s l) (w ())
+  done;
+  Array.iter
+    (fun l ->
+      Params.set params (Templates.bias_feature l) (w ());
+      Array.iter
+        (fun l' ->
+          if Mcmc.Rng.bool rng then Params.set params (Templates.transition_feature l l') (w ()))
+        label_names)
+    label_names;
+  Params.set params (Templates.skip_feature ~same:true) (w ());
+  Params.set params (Templates.skip_feature ~same:false) (w ())
+
+let check_against_reference rng params crf =
+  let n = Crf.n_tokens crf in
+  let fail what = Alcotest.failf "compiled scorer differs from the reference: %s" what in
+  for _ = 1 to 300 do
+    let pos = Mcmc.Rng.int rng n and l = Mcmc.Rng.pick rng Labels.all in
+    if not (same_bits (Crf.delta_log_score crf ~pos l) (Reference.delta params crf ~pos l)) then
+      fail (Printf.sprintf "delta_log_score at %d -> %s" pos (Labels.to_string l));
+    let changes =
+      List.sort_uniq
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (List.init (1 + Mcmc.Rng.int rng 3) (fun _ ->
+             let p = min (n - 1) (pos + Mcmc.Rng.int rng 4) in
+             (p, Mcmc.Rng.pick rng Labels.all)))
+    in
+    if
+      not
+        (same_bits (Crf.delta_log_score_multi crf changes)
+           (Reference.delta_multi params crf changes))
+    then fail (Printf.sprintf "delta_log_score_multi around %d" pos);
+    if Mcmc.Rng.bool rng then Crf.set_label_local crf ~pos l
+  done;
+  for doc = 0 to Crf.n_docs crf - 1 do
+    let first, _ = Crf.doc_token_range crf doc in
+    let m = Chain_inference.model_of_doc crf ~doc in
+    for i = 0 to m.Factorgraph.Chain_fb.length - 1 do
+      Array.iteri
+        (fun li l ->
+          if not (same_bits (m.node i li) (Reference.node params crf ~pos:(first + i) l)) then
+            fail (Printf.sprintf "model_of_doc node %d of doc %d" i doc))
+        Labels.all
+    done;
+    Array.iteri
+      (fun li l ->
+        Array.iteri
+          (fun li' l' ->
+            if not (same_bits (m.edge 0 li li') (Reference.edge params l l')) then
+              fail "model_of_doc edge")
+          Labels.all)
+      Labels.all
+  done
+
+let test_crf_matches_reference =
+  QCheck.Test.make ~name:"compiled-matches-reference" ~count:12
+    QCheck.(pair (int_bound 1000) bool)
+    (fun (seed, skip_edges) ->
+      let rng = Mcmc.Rng.create (seed + 1) in
+      let docs =
+        Corpus.generate ~params:{ Corpus.default_params with n_docs = 4 } ~seed:(seed + 1) ()
+      in
+      let params = Crf.default_params () in
+      let _, crf = mk_crf ~skip_edges ~params docs in
+      (* Weights set by name after the model was compiled must be seen. *)
+      randomize_params rng params crf;
+      check_against_reference rng params crf;
+      (* SampleRank updates the weights in place, by name. *)
+      let report = Training.train ~steps:400 ~rng crf in
+      if report.Training.updates = 0 then Alcotest.fail "training changed no weight";
+      check_against_reference rng params crf;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Proposals *)
 
@@ -741,7 +936,9 @@ let () =
          Alcotest.test_case "write-through" `Quick test_crf_write_through;
          Alcotest.test_case "accuracy" `Quick test_crf_accuracy_truth;
          Alcotest.test_case "skip-partners" `Quick test_crf_skip_partners;
-         Alcotest.test_case "features-consistent" `Quick test_crf_delta_features_consistent ]);
+         Alcotest.test_case "features-consistent" `Quick test_crf_delta_features_consistent;
+         Alcotest.test_case "skip-cap-symmetric" `Quick test_crf_skip_cap_symmetric;
+         QCheck_alcotest.to_alcotest test_crf_matches_reference ]);
       ("proposals",
        [ Alcotest.test_case "bio-stays-valid" `Quick test_bio_proposer_stays_valid;
          Alcotest.test_case "batched-flip" `Quick test_batched_flip_runs ]);

@@ -21,6 +21,11 @@ echo "ci: pdb_lint"
 mkdir -p _build
 dune exec tools/lint/pdb_lint.exe -- --root . --json _build/lint_report.json \
   --summaries _build/lint_summaries.txt
+echo "ci: pdbbench smoke digests"
+# Every answer of every benchmark workload at smoke size, bit for bit,
+# against the committed digests: a change to any sample path fails here
+# rather than in review.
+sh tools/smoke_digests.sh
 echo "ci: examples"
 # Every example must run to completion: they are callers of the lib
 # exports they use, which lint rule R11 counts.

@@ -18,7 +18,9 @@
      R7 no-hot-text-alloc Value.Text construction in per-sample hot paths
                           (decode/proposal/fan-out files and lib/serve,
                           lib/mcmc) — interned text must flow through
-                          Intern.value's shared boxes
+                          Intern.value's shared boxes; in the hot-path
+                          files also text built by Printf.*sprintf, ^ or
+                          Templates.*_feature outside an error argument
      R8 deterministic-serialization
                           no value derived from unordered Hashtbl iteration
                           order may reach a serialization sink (interprocedural;
@@ -111,11 +113,13 @@ let rules =
       rname = "no-hot-text-alloc";
       hint =
         "return the pool's shared box via Relational.Intern.value (or a cached \
-         Labels.value) instead of constructing Value.Text";
+         Labels.value) instead of constructing Value.Text; resolve feature names \
+         to Params ids once, when the model is built, instead of formatting them";
       blurb =
-        "a Value.Text allocation in the per-sample decode/proposal/fan-out path \
-         costs one box per row per sample — at 10M tokens that is the difference \
-         between interned columnar storage paying off and the GC eating it";
+        "a Value.Text allocation or a formatted name in the per-sample \
+         decode/proposal/fan-out path costs one string per row per sample — at \
+         10M tokens that is the difference between interned columnar storage and \
+         compiled weights paying off and the GC eating it";
     };
     { id = "R8";
       rname = "deterministic-serialization";
@@ -226,6 +230,22 @@ let r7_files =
     "lib/ie/crf.ml"; "lib/ie/proposals.ml"; "lib/core/world.ml" ]
 
 let r7_dirs = [ "lib/serve"; "lib/mcmc" ]
+
+(* Text builders R7 also flags in [r7_files]: a formatted string, a
+   concatenation, or a feature name. Their result is a fresh string, so
+   on the per-sample path each call is an allocation plus, for a feature
+   name, a hash lookup. *)
+let hot_text_builder = function
+  | [ "Printf"; f ] when String.ends_with ~suffix:"sprintf" f -> Some ("Printf." ^ f)
+  | [ "^" ] -> Some "(^)"
+  | path -> (
+    match List.rev path with
+    | f :: "Templates" :: _ when String.ends_with ~suffix:"_feature" f -> Some ("Templates." ^ f)
+    | _ -> None)
+
+(* Text built only to be raised — the argument of these — costs nothing
+   on a path that does not fail, so R7 leaves it alone. *)
+let raises_argument = function [ ("invalid_arg" | "failwith" | "raise") ] -> true | _ -> false
 let r2_exempt_file = "lib/obs/timer.ml"
 let default_doc = "docs/OBSERVABILITY.md"
 
@@ -561,7 +581,8 @@ let defines_toplevel_compare str =
 
 let check_structure ~rel str =
   let in_r1 = under_any r1_dirs rel in
-  let r7_on = List.exists (fun f -> String.equal f rel) r7_files || under_any r7_dirs rel in
+  let r7_text_on = List.exists (fun f -> String.equal f rel) r7_files in
+  let r7_on = r7_text_on || under_any r7_dirs rel in
   let r2_on = not (String.equal rel r2_exempt_file) in
   let r3_on = under "lib" rel || under "tools" rel in
   let r6_on = under_any r6_dirs rel in
@@ -571,6 +592,8 @@ let check_structure ~rel str =
   (* idents already reported (or cleared) by the enclosing apply check *)
   let handled_eq : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
   let loc_key loc = (loc.Location.loc_start.Lexing.pos_lnum, loc.Location.loc_start.Lexing.pos_cnum) in
+  (* > 0 while visiting the argument of invalid_arg/failwith/raise *)
+  let raising = ref 0 in
   let record_metric kind loc args =
     if r6_on then
       match List.find_opt (fun (l, _) -> match l with Nolabel -> true | _ -> false) args with
@@ -660,7 +683,23 @@ let check_structure ~rel str =
           | "Obj" :: _ :: _ -> add (rule_exn "R5") loc "use of Obj.*"
           | _ -> ())
         | _ -> ());
-        super#expression e
+        let callee =
+          match e.pexp_desc with
+          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> flatten_longident txt
+          | _ -> []
+        in
+        (if r7_text_on && Int.equal !raising 0 then
+           match hot_text_builder callee with
+           | Some what ->
+             add (rule_exn "R7") e.pexp_loc
+               (Printf.sprintf "%s builds text in a per-sample hot path" what)
+           | None -> ());
+        if raises_argument callee then begin
+          incr raising;
+          super#expression e;
+          decr raising
+        end
+        else super#expression e
     end
   in
   it#structure str;

@@ -83,6 +83,11 @@ let seeds =
       "R7",
       "let box s = Relational.Value.Text s\n\
        let unbox v = match v with Relational.Value.Text s -> s | _ -> \"\"\n" );
+    (* A feature name formatted in a hot-path file: the per-proposal
+       Printf + hash lookup the compiled CRF removed. *)
+    ( "lib/ie/crf.ml",
+      "R7",
+      "let score p s l = Factorgraph.Params.get p (Factorgraph.Templates.emission_feature s l)\n" );
     (* R8 direct: an unordered iteration callback writing wire bytes. *)
     ( "lib/serve/seed_r8_direct.ml",
       "R8",
@@ -153,6 +158,10 @@ let clean_seeds =
     ("bin/seed_cli.ml", "let port () = Sys.getenv_opt \"PDB_PORT\"\n");
     ( "lib/checkpoint/failpoint.ml",
       "let enabled () = Sys.getenv_opt \"PDB_FAILPOINT\" <> None\n" );
+    (* R7 leaves text alone that is built only to be raised. *)
+    ( "lib/ie/proposals.ml",
+      "let check n = if n < 0 then invalid_arg (Printf.sprintf \"bad %d\" n)\n\
+       let name s = if s = \"\" then failwith (\"empty: \" ^ s) else s\n" );
     (* sprintf-built name matching the catalogued seed.dyn.<op>.rows. *)
     ( "lib/relational/seed_r6_dyn.ml",
       "let m op = Obs.Metrics.counter (Printf.sprintf \"seed.dyn.%s.rows\" op)\n" );
