@@ -4,6 +4,7 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance; 0 for fewer than two points. *)
 
+(* pdb_lint: allow R11 — reference implementation: test_mcmc sums it lag by lag as the ESS that effective_sample_size must equal bit for bit *)
 val autocorrelation : float array -> int -> float
 (** Lag-k sample autocorrelation; 0 when undefined. *)
 

@@ -363,6 +363,35 @@ let lookup t ~col v =
         (Option.value ~default:[] (IT.find_opt idx.buckets key));
       bag)
 
+let select t eqs keep =
+  let out = Bag.create () in
+  (* [(col, key)] per usable equality; None when one can never hold. *)
+  let rec encode acc = function
+    | [] -> Some acc
+    | (col, v) :: rest -> (
+      match (t.cols.(col), v) with
+      | C_float _, _ -> encode acc rest
+      (* Past 2^53, Value.compare rounds the int side to float, so
+         several stored ints equal one such constant: no single key. *)
+      | C_int _, Value.Float f when Float.abs f >= 0x1p53 -> encode acc rest
+      | _ -> (
+        match probe_key t col v with None -> None | Some k -> encode ((col, k) :: acc) rest))
+  in
+  let rec pass slot = function
+    | [] -> true
+    | (col, k) :: rest -> Int.equal (encoded_at t col slot) k && pass slot rest
+  in
+  (match encode [] eqs with
+  | None -> ()
+  | Some keys ->
+    for slot = 0 to t.len - 1 do
+      if pass slot keys then begin
+        let row = decode_row t slot in
+        if keep row then Bag.add out row
+      end
+    done);
+  out
+
 let column_ints t col =
   match t.cols.(col) with
   | C_float _ -> None

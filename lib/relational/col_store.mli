@@ -61,6 +61,17 @@ val to_bag : t -> Bag.t
 (** Materialise the whole store as a fresh bag of decoded rows (every
     count 1). O(n); the caller owns the result. *)
 
+val select : t -> (int * Value.t) list -> (Row.t -> bool) -> Bag.t
+(** [select t eqs keep] is a fresh bag of the decoded rows satisfying
+    [keep] (every count 1), where [keep] implies each [(col, v)] of
+    [eqs]: [keep row] ⇒ [Value.equal (Row.get row col) v]. Each
+    int/text/bool equality is encoded once and compared against the raw
+    column slot by slot, so only rows passing all of them are decoded
+    and handed to [keep]. A constant no stored row can hold (un-interned
+    text, fractional float) yields the empty bag; equalities with no
+    exact encoding (float columns, integral floats of magnitude ≥ 2{^53}
+    on int columns) are left to [keep]. *)
+
 val pk_ordered_entries : t -> (Row.t * int) list option
 (** Every row with count 1, decoded straight from the slots, when the
     primary key is column 0 and the slots hold the rows in key order —

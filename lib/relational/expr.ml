@@ -124,6 +124,16 @@ let rec conjuncts = function
   | And (a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]
 
+let eq_constants schema pred =
+  List.filter_map
+    (function
+      | Cmp (Eq, Col c, Const v) | Cmp (Eq, Const v, Col c) -> (
+        match Schema.index_of schema c with
+        | i -> Some (i, v)
+        | exception (Not_found | Schema.Ambiguous_column _) -> None)
+      | _ -> None)
+    (conjuncts pred)
+
 let equi_join_pairs pred ~left ~right =
   let both = Schema.concat left right in
   let side c =

@@ -59,6 +59,13 @@ val bind_pred : Schema.t -> t -> Row.t -> bool
 
 val eval : Schema.t -> t -> Row.t -> Value.t
 
+val eq_constants : Schema.t -> t -> (int * Value.t) list
+(** The [col = const] conjuncts of a predicate (either operand order)
+    whose column resolves in the schema, as [(position, constant)]. Every
+    row the predicate accepts holds each constant at its position under
+    {!Value.equal}, which is what lets {!Table.select} pre-filter on
+    them. *)
+
 val equi_join_pairs : t -> left:Schema.t -> right:Schema.t -> ((int * int) list * t option) option
 (** Splits a conjunctive join predicate into equality pairs
     [(left_pos, right_pos)] usable for hash join, plus a residual predicate

@@ -143,6 +143,11 @@ let update_field_by_pk t key ~column v =
 
 let rows t = match t.store with Boxed b -> b.rows | Columnar c -> Col_store.to_bag c
 
+let select t eqs keep =
+  match t.store with
+  | Boxed b -> Bag.filter keep b.rows
+  | Columnar c -> Col_store.select c eqs keep
+
 let sorted_entries t =
   match t.store with
   | Columnar c -> (

@@ -62,6 +62,14 @@ val rows : t -> Bag.t
     Columnar backend: a fresh decoded snapshot (O(n), caller-owned)
     that does not track later table mutations. *)
 
+val select : t -> (int * Value.t) list -> (Row.t -> bool) -> Bag.t
+(** [select t eqs keep] is a fresh bag of the rows satisfying [keep],
+    given equalities [(pos, v)] that [keep] implies (as
+    {!Expr.eq_constants} extracts them). Boxed: [Bag.filter keep (rows
+    t)]. Columnar: {!Col_store.select}, which compares [eqs] on the
+    encoded columns and decodes only the rows that pass, instead of
+    decoding the whole table first. *)
+
 val sorted_entries : t -> (Row.t * int) list
 (** [Bag.to_list (rows t)]: every distinct row with its count, sorted by
     {!Row.compare}. A columnar table whose slots are already in that

@@ -23,7 +23,9 @@ end)
    DISTINCT parent, or the scan being the whole view) or stays empty, with
    reset-time readers sourcing a transient decode via [source_bag] — the
    common indexed plans over a million-row token table never hold a boxed
-   copy of it.
+   copy of it. A selection over such a scan does not decode the table at
+   all: it runs Table.select, which compares its [col = const] conjuncts
+   on the encoded columns and decodes only the rows that pass.
 
    [footprint] is the set of canonical base-table names under the node; a
    delta batch touching none of them cannot change the node's result, so
@@ -53,7 +55,8 @@ type node = {
 
 and kind =
   | K_scan of scan_src
-  | K_select of (Row.t -> bool) * node
+  | K_select of (Row.t -> bool) * (int * Value.t) list * node
+  (* keep, and the [col = const] conjuncts it implies (Expr.eq_constants) *)
   | K_project of int array * node
   | K_join of join_info
   | K_distinct of node
@@ -193,7 +196,8 @@ and build_fresh ?cache db (alg : Algebra.t) : node =
     let schema = Algebra.output_schema db alg in
     let child = build_shell ?cache db child_alg in
     let keep = Expr.bind_pred child.schema p in
-    mk_node alg ~schema ~kind:(K_select (keep, child)) ~footprint:child.footprint
+    let eqs = Expr.eq_constants child.schema p in
+    mk_node alg ~schema ~kind:(K_select (keep, eqs, child)) ~footprint:child.footprint
   | Project (cols, child_alg) ->
     let schema = Algebra.output_schema db alg in
     let child = build_shell ?cache db child_alg in
@@ -353,7 +357,7 @@ and delta_node db node (d : Delta.t) : Bag.t =
     match Delta.for_table d table with
     | Some b -> Bag.copy b
     | None -> Bag.create ~size:1 ())
-  | K_select (keep, child) -> Bag.filter keep (delta db child d)
+  | K_select (keep, _, child) -> Bag.filter keep (delta db child d)
   | K_project (positions, child) ->
     Bag.map_rows (fun r -> Array.map (fun i -> Row.get r i) positions) (delta db child d)
   | K_join { pred; left; right; strategy } -> (
@@ -513,7 +517,7 @@ and delta_node db node (d : Delta.t) : Bag.t =
 let children node =
   match node.kind with
   | K_scan _ | K_recompute -> []
-  | K_select (_, c) | K_project (_, c) | K_distinct c -> [ c ]
+  | K_select (_, _, c) | K_project (_, c) | K_distinct c -> [ c ]
   | K_join { left; right; _ } -> [ left; right ]
   | K_union (a, b) -> [ a; b ]
   | K_group g -> [ g.g_child ]
@@ -618,7 +622,11 @@ let rec reset_node ?(force = false) db node : unit =
 and reset_kind db node : unit =
   match node.kind with
   | K_scan s -> reset_scan db node s
-  | K_select (keep, child) -> node.current <- Bag.filter keep (source_bag db child)
+  | K_select (keep, eqs, child) ->
+    node.current <-
+      (match child.kind with
+      | K_scan { sc_owned = false; sc_table } -> Table.select (Database.table db sc_table) eqs keep
+      | _ -> Bag.filter keep child.current)
   | K_project (positions, child) ->
     node.current <-
       Bag.map_rows (fun r -> Array.map (fun i -> Row.get r i) positions) (source_bag db child)

@@ -15,6 +15,7 @@ let m_clients = Obs.Metrics.gauge "daemon.clients"
 let m_rejected = Obs.Metrics.counter "daemon.rejected"
 let m_coalesced = Obs.Metrics.counter "daemon.coalesced_updates"
 let m_thinned = Obs.Metrics.counter "daemon.sched_thinned"
+let m_update_encodes = Obs.Metrics.counter "daemon.update_encodes"
 
 type config = {
   socket_path : string;
@@ -217,10 +218,8 @@ let find_query t wire_id =
 let find_by_name t name =
   List.find_opt (fun (_, n) -> String.equal n name) (Registry.queries t.reg)
 
-let estimates_of m =
-  List.map
-    (fun (row, p) -> (Relational.Row.to_string row, p))
-    (Core.Marginals.estimates m)
+let labelled est = List.map (fun (row, p) -> (Relational.Row.to_string row, p)) est
+let estimates_of m = labelled (Core.Marginals.estimates m)
 
 let registered_reply t qid name =
   Protocol.Registered
@@ -442,26 +441,49 @@ let deliver_update t c sub frame =
     Buffer.add_char c.outbuf '\n'
   end
 
-let emit_updates t sample =
+(* What one sample emits for one query, computed at most once however
+   many connections subscribe to it: the sorted estimates (shared by the
+   scheduler's summary and the update frame), the scheduler's cadence and
+   the encoded [Update] frame, the latter two on first demand. *)
+type emission = {
+  est : (Relational.Row.t * float) list;
+  mutable cad : int option;
+  mutable frame : string option;
+}
+
+let cadence_of t wire_id e =
+  match e.cad with
+  | Some cad -> cad
+  | None ->
+      let cad = Scheduler.cadence t.sched wire_id in
+      e.cad <- Some cad;
+      cad
+
+let frame_of wire_id sample e =
+  match e.frame with
+  | Some frame -> frame
+  | None ->
+      Obs.Metrics.incr m_update_encodes;
+      let frame =
+        Protocol.encode_response
+          (Protocol.Update { query = wire_id; sample; estimates = labelled e.est })
+      in
+      e.frame <- Some frame;
+      frame
+
+let emit_updates t sample emissions =
   List.iter
     (fun c ->
       if c.alive && not c.closing then
         List.iter
           (fun (wire_id, sub) ->
-            match find_query t wire_id with
+            match IT.find_opt emissions wire_id with
             | None -> ()
-            | Some (qid, _) ->
-                let cad =
-                  if sub.every >= 1 then sub.every
-                  else Scheduler.cadence t.sched wire_id
-                in
+            | Some e ->
+                let cad = if sub.every >= 1 then sub.every else cadence_of t wire_id e in
                 if sample - sub.last_emit >= cad then begin
                   sub.last_emit <- sample;
-                  let m = Registry.marginals t.reg qid in
-                  deliver_update t c sub
-                    (Protocol.encode_response
-                       (Protocol.Update
-                          { query = wire_id; sample; estimates = estimates_of m }))
+                  deliver_update t c sub (frame_of wire_id sample e)
                 end
                 else if sub.every = 0 && cad > 1 then begin
                   t.thinned <- t.thinned + 1;
@@ -473,17 +495,15 @@ let emit_updates t sample =
 let step_once t =
   Registry.step t.reg ~thin:t.cfg.thin;
   let sample = Registry.samples t.reg in
+  let emissions = IT.create 16 in
   List.iter
     (fun (qid, _) ->
-      let m = Registry.marginals t.reg qid in
-      let summary =
-        List.fold_left
-          (fun acc (_, p) -> acc +. p)
-          0. (Core.Marginals.estimates m)
-      in
-      Scheduler.observe t.sched (Registry.id_to_int qid) summary)
+      let wire_id = Registry.id_to_int qid in
+      let est = Core.Marginals.estimates (Registry.marginals t.reg qid) in
+      Scheduler.observe t.sched wire_id (List.fold_left (fun acc (_, p) -> acc +. p) 0. est);
+      IT.replace emissions wire_id { est; cad = None; frame = None })
     (Registry.queries t.reg);
-  emit_updates t sample
+  emit_updates t sample emissions
 
 (* ---------- loop ---------- *)
 

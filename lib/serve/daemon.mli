@@ -46,8 +46,15 @@
 
     Queries outlive their registering connection: a disconnect drops
     subscriptions, never plans. Metrics: [daemon.clients],
-    [daemon.rejected], [daemon.coalesced_updates], [daemon.sched_thinned]
-    (docs/OBSERVABILITY.md). *)
+    [daemon.rejected], [daemon.coalesced_updates], [daemon.sched_thinned],
+    [daemon.update_encodes] (docs/OBSERVABILITY.md).
+
+    {2 One update per query per sample}
+
+    Each sample computes every query's estimates once, for both the
+    scheduler's summary and the stream; a due query's [update] frame is
+    encoded at most once, and every subscriber (live [outbuf] or
+    drop-oldest latch) receives that same string. *)
 
 type config = {
   socket_path : string;  (** Unix-domain socket path; replaced if present *)

@@ -778,6 +778,92 @@ let test_update_emission_order () =
   Serve.Daemon.close daemon;
   if Sys.file_exists path then Sys.remove path
 
+(* Two connections stream one query at every = 1: a reader that keeps up
+   and a slow client that sleeps until the chain stops. Each sample's
+   update is encoded once, so what the slow client finally receives —
+   from its buffer or promoted from its drop-oldest latch — is byte for
+   byte the frame the reader got for that sample, and the encode counter
+   grows with samples, not with subscribers. *)
+let test_update_frame_shared () =
+  let encodes () =
+    match Obs.Metrics.find Obs.Metrics.global "daemon.update_encodes" with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  let samples = 40 in
+  let path = fresh_socket_path () in
+  let cfg =
+    { (Serve.Daemon.default_config ~socket_path:path) with
+      Serve.Daemon.thin = 1;
+      max_samples = samples;
+      await_queries = 1;
+      sndbuf_bytes = 2 * 1024;
+      slow_client_bytes = 512 }
+  in
+  let encodes0 = encodes () in
+  let daemon =
+    Serve.Daemon.of_registry cfg (Serve.Registry.create (make_pdb ~n_tokens:200 ~thin:1 ()))
+  in
+  let reader = connect path and slow = connect path in
+  let q =
+    rpc daemon reader
+      (P.Register { sql = sql_for "B-PER"; name = Some "B-PER" })
+      (function P.Registered { query; _ } -> Some query | _ -> None)
+  in
+  let subscribe c =
+    ignore
+      (rpc daemon c
+         (P.Stream { query = q; every = 1 })
+         (function P.Streaming { query; _ } when query = q -> Some () | _ -> None))
+  in
+  subscribe reader;
+  subscribe slow;
+  (* Raw update lines by sample, whatever else the connection holds. *)
+  let take_updates c into =
+    drain c;
+    List.iter
+      (fun line ->
+        match P.decode_response line with
+        | Result.Ok (P.Update { sample; _ }) -> Hashtbl.replace into sample line
+        | _ -> ())
+      c.lines;
+    c.lines <- []
+  in
+  let seen_by_reader = Hashtbl.create 64 and seen_by_slow = Hashtbl.create 64 in
+  let ticks = ref 0 in
+  while Serve.Daemon.samples daemon < samples && !ticks < 10_000 do
+    Serve.Daemon.tick daemon ~timeout:0.;
+    take_updates reader seen_by_reader;
+    incr ticks
+  done;
+  Alcotest.(check int) "chain reached max_samples" samples (Serve.Daemon.samples daemon);
+  Alcotest.(check bool) "the slow client coalesced" true (Serve.Daemon.coalesced daemon > 0);
+  for _ = 1 to 200 do
+    Serve.Daemon.tick daemon ~timeout:0.;
+    take_updates reader seen_by_reader;
+    take_updates slow seen_by_slow
+  done;
+  Alcotest.(check bool) "the slow client got the newest sample" true
+    (Hashtbl.mem seen_by_slow samples);
+  Hashtbl.iter
+    (fun sample line ->
+      match Hashtbl.find_opt seen_by_reader sample with
+      | None -> Alcotest.failf "sample %d reached the slow client only" sample
+      | Some frame ->
+          Alcotest.(check string) (Printf.sprintf "sample %d frame bytes" sample) frame line)
+    seen_by_slow;
+  let n = encodes () - encodes0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d encodes for %d samples of one query" n samples)
+    true
+    (n > 0 && n <= samples);
+  disconnect reader;
+  disconnect slow;
+  Serve.Daemon.close daemon;
+  if Sys.file_exists path then Sys.remove path
+
 let () =
   Alcotest.run "daemon"
     [ ( "protocol",
@@ -807,4 +893,6 @@ let () =
           Alcotest.test_case "registration order immaterial to frames" `Quick
             test_registration_order_immaterial;
           Alcotest.test_case "updates emitted in wire-id order" `Quick
-            test_update_emission_order ] ) ]
+            test_update_emission_order;
+          Alcotest.test_case "one update frame shared by all subscribers" `Quick
+            test_update_frame_shared ] ) ]

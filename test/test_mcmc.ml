@@ -294,6 +294,54 @@ let test_diagnostics_ess () =
   Alcotest.(check bool) "alternating ESS high" true (Diagnostics.effective_sample_size alt >= 99.);
   Alcotest.(check bool) "trending ESS low" true (Diagnostics.effective_sample_size trend < 20.)
 
+(* The ESS as it was before its mean and denominator were hoisted out of
+   the lag loop: one full [autocorrelation] per lag, each recomputing the
+   mean and the denominator. *)
+let reference_ess xs =
+  let n = Array.length xs in
+  if n < 2 then float_of_int n
+  else begin
+    let rec sum k acc =
+      if k >= n then acc
+      else
+        let rho = Diagnostics.autocorrelation xs k in
+        if rho <= 0. then acc else sum (k + 1) (acc +. rho)
+    in
+    float_of_int n /. (1. +. (2. *. sum 1 0.))
+  end
+
+(* Windows of every shape the scheduler feeds: short, constant, smooth
+   random walks, and NaN-free extremes (huge, tiny and subnormal values,
+   sized so no sum of squares overflows). *)
+let gen_window =
+  QCheck.Gen.(
+    let scalar =
+      oneof
+        [ float_range (-1.) 1.;
+          map (fun x -> x *. 1e150) (float_range (-1.) 1.);
+          map (fun x -> x *. 1e-300) (float_range (-1.) 1.);
+          oneofl [ 0.; -0.; 5e-324; 1.; 1e150; -1e150 ] ]
+    in
+    let walk n =
+      map
+        (fun steps ->
+          let acc = ref 0. in
+          Array.of_list (List.map (fun s -> acc := !acc +. s; !acc) steps))
+        (list_repeat n (float_range (-1.) 1.))
+    in
+    int_range 0 80 >>= fun n ->
+    oneof [ array_repeat n scalar; map (Array.make n) scalar; walk n ])
+
+let prop_ess_matches_reference =
+  QCheck.Test.make ~name:"diagnostics: hoisted ESS equals the per-lag formula bit for bit"
+    ~count:500
+    (QCheck.make gen_window ~print:(fun w ->
+         String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") w))))
+    (fun w ->
+      Int64.equal
+        (Int64.bits_of_float (Diagnostics.effective_sample_size w))
+        (Int64.bits_of_float (reference_ess w)))
+
 let test_gelman_rubin () =
   let rand = Prng.of_seeds [| 12 |] in
   let noise () = Array.init 500 (fun _ -> Prng.float rand 1.) in
@@ -330,4 +378,5 @@ let () =
       ("diagnostics",
        [ Alcotest.test_case "basics" `Quick test_diagnostics_basics;
          Alcotest.test_case "ess" `Quick test_diagnostics_ess;
+         QCheck_alcotest.to_alcotest prop_ess_matches_reference;
          Alcotest.test_case "gelman-rubin" `Quick test_gelman_rubin ]) ]

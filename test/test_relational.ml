@@ -1166,6 +1166,104 @@ let test_columnar_view_maintenance () =
   Delta.record_delete d3 ~table:"TOKEN" row;
   step d3
 
+(* The columnar selection kernel (Table.select over Col_store) must equal
+   filtering a full decode with the compiled predicate, whatever the
+   equality conjuncts it pre-filters on: int/text/bool constants, text
+   never interned, integral and fractional floats on an int column,
+   mistyped constants, alias-qualified names, Or/Neq residuals the kernel
+   cannot use, and slots left sparse by deletions. *)
+let kernel_schema () =
+  Schema.make
+    [ { Schema.name = "ID"; ty = Value.T_int };
+      { Schema.name = "N"; ty = Value.T_int };
+      { Schema.name = "STRING"; ty = Value.T_text };
+      { Schema.name = "FLAG"; ty = Value.T_bool };
+      { Schema.name = "W"; ty = Value.T_float } ]
+
+let kernel_words = [| "Boston"; "IBM"; "saw"; "Ramirez" |]
+
+(* Never interned by any test: the kernel must answer it without a probe. *)
+let never_interned = "kernel-never-interned-\x01"
+
+let prop_select_kernel =
+  QCheck.Test.make ~name:"columnar: select kernel equals filter of a full decode" ~count:300
+    QCheck.(
+      quad small_nat (int_range 0 60) (small_list (int_range 0 11)) (pair bool (int_range 0 3)))
+    (fun (seed, n_rows, atoms, (qualified, n_deletes)) ->
+      let rand = Prng.of_seeds [| seed; 251 |] in
+      let t = Table.create_columnar ~pk:"ID" ~name:"K" (kernel_schema ()) in
+      for id = 0 to n_rows - 1 do
+        Table.insert t
+          (r
+             [ Int id;
+               Int (Prng.int rand 5);
+               Text kernel_words.(Prng.int rand (Array.length kernel_words));
+               Bool (Prng.int rand 2 = 0);
+               Float (float_of_int (Prng.int rand 3) /. 2.) ])
+      done;
+      (* Delete from the front so swap-with-last leaves the slots out of
+         key order. *)
+      for _ = 1 to min n_deletes (Table.cardinal t) do
+        match Bag.rows (Table.rows t) with
+        | row :: _ -> Table.delete t row
+        | [] -> ()
+      done;
+      let schema = if qualified then Schema.qualify "T1" (Table.schema t) else Table.schema t in
+      let c name = Expr.col (if qualified then "T1." ^ name else name) in
+      let k () = Prng.int rand 5 in
+      let word () = Expr.text kernel_words.(Prng.int rand (Array.length kernel_words)) in
+      let atom = function
+        | 0 -> Expr.(c "N" = int (k ()))
+        | 1 -> Expr.(word () = c "STRING")
+        | 2 -> Expr.(c "STRING" = text never_interned)
+        | 3 ->
+          let flag = Value.Bool (Prng.int rand 2 = 0) in
+          Expr.(c "FLAG" = Const flag)
+        | 4 -> Expr.(c "N" = Const (Value.Float 3.))
+        | 5 -> Expr.(c "N" = Const (Value.Float 3.5))
+        | 6 -> Expr.(c "N" = text "3")
+        | 7 -> Expr.(c "STRING" = int 3)
+        | 8 -> Expr.(c "W" = Const (Value.Float 0.5))
+        | 9 -> Expr.(c "N" <> int (k ()))
+        | 10 -> Expr.(c "N" = int (k ()) || c "STRING" = word ())
+        | _ -> Expr.(c "ID" = int (Prng.int rand (n_rows + 1)))
+      in
+      let pred = Expr.conj (List.map atom atoms) in
+      let keep = Expr.bind_pred schema pred in
+      let kernel = Table.select t (Expr.eq_constants schema pred) keep in
+      Option.is_none (Intern.find_opt never_interned)
+      && bag_equal (Bag.filter keep (Table.rows t)) kernel)
+
+let test_columnar_query4_view () =
+  (* Query 4's selections read a columnar TOKEN through the kernel at
+     bootstrap; every maintained node must equal the boxed build's. *)
+  let rows =
+    sample_rows
+    @ [ (7, 3, "Boston", "B-ORG"); (8, 3, "Smith", "B-PER"); (9, 3, "Jones", "B-PER");
+        (10, 4, "Boston", "O"); (11, 4, "Lee", "B-PER") ]
+  in
+  let db_of t =
+    let db = Database.create () in
+    Database.add_table db t;
+    db
+  in
+  let cdb = db_of (mk_columnar_token_table rows) in
+  let bdb = db_of (mk_token_table rows) in
+  let q =
+    Optimizer.reorder cdb
+      (Optimizer.optimize
+         (Sql.parse
+            "SELECT T2.STRING FROM TOKEN T1, TOKEN T2 WHERE T1.STRING='Boston' AND \
+             T1.LABEL='B-ORG' AND T1.DOC_ID=T2.DOC_ID AND T2.LABEL='B-PER'"))
+  in
+  let cv = View.create cdb q and bv = View.create bdb q in
+  check_bag "query 4 result"
+    (bag_of_rows [ r [ Text "Ramirez" ]; r [ Text "Smith" ]; r [ Text "Jones" ] ])
+    (View.result cv);
+  let cs = View.node_states cv and bs = View.node_states bv in
+  Alcotest.(check int) "node count" (List.length bs) (List.length cs);
+  List.iteri (fun i (b, c) -> check_bag (Printf.sprintf "node %d" i) b c) (List.combine bs cs)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "relational"
@@ -1239,7 +1337,9 @@ let () =
       ("columnar",
        [ Alcotest.test_case "matches-boxed" `Quick test_columnar_matches_boxed;
          Alcotest.test_case "strictness" `Quick test_columnar_strictness;
-         Alcotest.test_case "view-maintenance" `Quick test_columnar_view_maintenance; ]);
+         Alcotest.test_case "view-maintenance" `Quick test_columnar_view_maintenance;
+         Alcotest.test_case "query4-view-matches-boxed" `Quick test_columnar_query4_view;
+         qc prop_select_kernel ]);
       ("index-path",
        [ Alcotest.test_case "agrees-with-scan" `Quick test_indexed_selection_agrees;
          Alcotest.test_case "empty-key" `Quick test_indexed_selection_empty_key ]);

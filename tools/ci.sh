@@ -72,9 +72,10 @@ dune exec bench/main.exe -- daemon-smoke
 test -s BENCH_daemon.json
 echo "ci: daemon kill/resume smoke"
 # The same twin comparison through the real CLI and a real SIGKILL:
-# 8 clients attach/stream/detach over the Unix socket, the daemon dies
-# mid-stream, resumes from its WAL, and every query's frozen marginals
-# must be bit-identical to the uninterrupted twin's.
+# 9 clients (one registers a Query-4 join) attach/stream/detach over the
+# Unix socket, the daemon dies mid-stream, resumes from its WAL, and every
+# query's frozen marginals must be bit-identical to the uninterrupted
+# twin's.
 sh tools/daemon_smoke.sh
 echo "ci: supervised durability smoke (CLI)"
 # The serve CLI's crash-and-retry path end to end: a failpoint kills the

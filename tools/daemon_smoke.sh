@@ -2,11 +2,16 @@
 # Daemon smoke: the kill-and-resume twin comparison, driven through the
 # real CLI (bin/pdb_cli daemon + attach) over a real Unix-domain socket.
 #
-#   Twin A (uninterrupted): start a durable daemon, attach 8 clients that
+#   Twin A (uninterrupted): start a durable daemon, attach 9 clients that
 #   register/stream/detach, capture each query's frozen marginals.
-#   Twin B (crashed): identical daemon, 8 clients attach and stream, the
+#   Twin B (crashed): identical daemon, 9 clients attach and stream, the
 #   daemon is SIGKILLed mid-stream, resumed from its WAL, the clients
 #   reattach by query name and detach.
+#
+# Eight clients stand on label selections; the ninth registers Query 4,
+# a self-join of TOKEN whose selections bootstrap through the columnar
+# selection kernel, both live and when the resumed daemon replays the
+# registration from its WAL.
 #
 # The frozen marginals of every query must be bit-identical across the
 # twins (%.17g text compare) — MCMC durability is only real if a crash
@@ -26,7 +31,8 @@ fi
 TOKENS=400
 SAMPLES=120
 THIN=10
-LABELS="B-PER I-PER B-ORG I-ORG B-LOC I-LOC B-MISC I-MISC"
+LABELS="B-PER I-PER B-ORG I-ORG B-LOC I-LOC B-MISC I-MISC JOIN"
+QUERIES=9
 
 TMP=$(mktemp -d)
 A_PID=""
@@ -39,10 +45,14 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 sql_for() {
-  echo "SELECT STRING FROM TOKEN WHERE LABEL='$1'"
+  if [ "$1" = JOIN ]; then
+    echo "SELECT T2.STRING FROM TOKEN T1, TOKEN T2 WHERE T1.STRING='Boston' AND T1.LABEL='B-ORG' AND T1.DOC_ID=T2.DOC_ID AND T2.LABEL='B-PER'"
+  else
+    echo "SELECT STRING FROM TOKEN WHERE LABEL='$1'"
+  fi
 }
 
-# Run the 8-client fleet against socket $1, with per-client extra args
+# Run the client fleet against socket $1, with per-client extra args
 # $2..., writing client i's output to $TMP/$PREFIX.q$i.
 fleet() {
   sock=$1
@@ -63,7 +73,7 @@ fleet() {
 
 echo "daemon_smoke: twin A (uninterrupted)"
 "$CLI" daemon --socket "$TMP/a.sock" --tokens $TOKENS --thin $THIN \
-  --max-samples $SAMPLES --await-queries 8 \
+  --max-samples $SAMPLES --await-queries $QUERIES \
   --wal-dir "$TMP/a" --wal-fsync-every 1 > "$TMP/a.log" 2>&1 &
 A_PID=$!
 fleet "$TMP/a.sock" a --stream 1 --updates 2 --wait-samples $SAMPLES --detach
@@ -73,10 +83,10 @@ A_PID=""
 
 echo "daemon_smoke: twin B (SIGKILL mid-stream, resume from WAL)"
 "$CLI" daemon --socket "$TMP/b.sock" --tokens $TOKENS --thin $THIN \
-  --max-samples $SAMPLES --await-queries 8 \
+  --max-samples $SAMPLES --await-queries $QUERIES \
   --wal-dir "$TMP/b" --wal-fsync-every 1 > "$TMP/b.log" 2>&1 &
 B_PID=$!
-# First wave: register all 8 at sample 0, stream a couple of updates,
+# First wave: register all of them at sample 0, stream a couple of updates,
 # leave the daemon sampling.
 fleet "$TMP/b.sock" b.pre --stream 1 --updates 2
 kill -9 "$B_PID"
@@ -84,13 +94,13 @@ wait "$B_PID" 2>/dev/null || true
 B_PID=""
 
 "$CLI" daemon --socket "$TMP/b.sock" --resume --wal-dir "$TMP/b" \
-  --tokens $TOKENS --thin $THIN --max-samples $SAMPLES --await-queries 8 \
+  --tokens $TOKENS --thin $THIN --max-samples $SAMPLES --await-queries $QUERIES \
   --wal-fsync-every 1 > "$TMP/b2.log" 2>&1 &
 B_PID=$!
-# The standing queries survived the crash: a 9th connection must see all
-# 8 of them before any client reattaches.
+# The standing queries survived the crash: one more connection must see
+# all of them before any client reattaches.
 "$CLI" attach --socket "$TMP/b.sock" --stats > "$TMP/b.stats"
-grep -q "queries=8" "$TMP/b.stats" || {
+grep -q "queries=$QUERIES" "$TMP/b.stats" || {
   echo "daemon_smoke: FAIL — resumed daemon lost standing queries:" >&2
   cat "$TMP/b.stats" >&2
   exit 1
@@ -121,4 +131,4 @@ for lbl in $LABELS; do
     exit 1
   fi
 done
-echo "daemon_smoke: OK — 8 queries bit-identical across SIGKILL + WAL resume"
+echo "daemon_smoke: OK — $QUERIES queries bit-identical across SIGKILL + WAL resume"
