@@ -2,6 +2,7 @@ open Relational
 
 let version = 1
 
+let m_encode_ns = Obs.Metrics.histogram "checkpoint.encode_ns"
 let m_write_ns = Obs.Metrics.histogram "checkpoint.write_ns"
 let m_bytes = Obs.Metrics.gauge "checkpoint.bytes"
 let m_restores = Obs.Metrics.counter "checkpoint.restore.count"
@@ -165,7 +166,7 @@ let restore_db tables =
 (* ---------- files ---------- *)
 
 let save ~path t =
-  let data = encode t in
+  let data = Obs.Timer.observe m_encode_ns (fun () -> encode t) in
   let bytes =
     Obs.Timer.observe m_write_ns (fun () -> Codec.write_file ~path data)
   in

@@ -32,9 +32,7 @@ let record_table_rows db =
   if Obs.Metrics.enabled () then
     Obs.Metrics.set_gauge m_table_rows
       (float_of_int
-         (List.fold_left
-            (fun acc t -> acc + Bag.distinct_cardinal (Table.rows t))
-            0 (Database.tables db)))
+         (List.fold_left (fun acc t -> acc + Table.cardinal t) 0 (Database.tables db)))
 
 let record_delta d =
   if Obs.Metrics.enabled () then begin
@@ -45,25 +43,25 @@ let record_delta d =
   end
   else 0
 
-let trace_sample strategy sample delta_rows =
+type run = {
+  pdb : Pdb.t;
+  source : source;
+  marginals : Marginals.t;
+}
+
+and source = Rerun of Algebra.t | Views of View_set.t
+
+let marginals r = r.marginals
+let sample r = Marginals.samples r.marginals - 1
+
+let trace_sample r delta_rows =
   if Obs.Trace.enabled () then
     Obs.Trace.emit
       ~args:
-        [ ("strategy", strategy_name strategy);
-          ("sample", string_of_int sample);
+        [ ("strategy", strategy_name (match r.source with Rerun _ -> Naive | Views _ -> Materialized));
+          ("sample", string_of_int (sample r));
           ("delta_rows", string_of_int delta_rows) ]
       "eval.sample"
-
-type run = {
-  strategy : strategy;
-  pdb : Pdb.t;
-  query : Algebra.t;
-  view : View.t option;  (* [Some] exactly for Materialized *)
-  marginals : Marginals.t;
-  mutable sample : int;
-}
-
-let marginals r = r.marginals
 
 (* Algorithm 3's per-world cost: the whole query over the current world. *)
 let full_query db query =
@@ -77,36 +75,37 @@ let start strategy pdb ~query =
   (* Updates recorded before evaluation starts (and burn-in) belong to no
      sample. *)
   ignore (World.drain_delta (Pdb.world pdb) : Delta.t);
-  let view, bag =
+  let r =
     match strategy with
-    | Naive -> (None, full_query db query)
+    | Naive ->
+      let marginals = Marginals.create () in
+      Marginals.observe marginals (full_query db query);
+      { pdb; source = Rerun query; marginals }
     | Materialized ->
-      let v = Obs.Timer.record m_view_build_ns (fun () -> View.create db query) in
-      (Some v, View.result v)
+      let views = View_set.create () in
+      let e =
+        Obs.Timer.record m_view_build_ns (fun () ->
+            View_set.bootstrap views db ~id:0 ~name:"" query)
+      in
+      { pdb; source = Views views; marginals = e.View_set.marginals }
   in
-  let marginals = Marginals.create () in
-  Marginals.observe marginals bag;
   Obs.Metrics.incr m_samples;
-  { strategy; pdb; query; view; marginals; sample = 0 }
+  r
 
 let observe r =
   let delta = World.drain_delta (Pdb.world r.pdb) in
   let dr = record_delta delta in
-  let bag =
-    match r.view with
-    | None ->
-      (* The naive evaluator ignores the delta — it pays for a full query
-         execution on every sampled world. *)
-      full_query (Pdb.db r.pdb) r.query
-    | Some v ->
-      Obs.Timer.record m_maintain_ns (fun () -> View.update v delta);
-      Obs.Metrics.incr m_maintain_count;
-      View.result v
-  in
-  Marginals.observe r.marginals bag;
+  (match r.source with
+  | Rerun query ->
+    (* The naive evaluator ignores the delta — it pays for a full query
+       execution on every sampled world. *)
+    Marginals.observe r.marginals (full_query (Pdb.db r.pdb) query)
+  | Views views ->
+    Obs.Timer.record m_maintain_ns (fun () -> View_set.maintain views delta);
+    Obs.Metrics.incr m_maintain_count;
+    View_set.fold views);
   Obs.Metrics.incr m_samples;
-  r.sample <- r.sample + 1;
-  trace_sample r.strategy r.sample dr
+  trace_sample r dr
 
 let evaluate ?on_sample ?(burn_in = 0) strategy pdb ~query ~thin ~samples =
   let started = Obs.Timer.start () in
@@ -116,7 +115,7 @@ let evaluate ?on_sample ?(burn_in = 0) strategy pdb ~query ~thin ~samples =
     match on_sample with
     | None -> ()
     | Some f ->
-      f { sample = r.sample;
+      f { sample = sample r;
           elapsed = Obs.Timer.seconds (Obs.Timer.elapsed_ns started);
           marginals = r.marginals }
   in

@@ -12,10 +12,10 @@
     further worlds separated by [thin] MH steps. [burn_in] (default 0) MH
     steps are taken before the first observation and never counted.
 
-    One sample step serves every single-query driver: {!start} observes
-    the initial world, {!observe} folds in the world the caller just
-    walked to. {!evaluate}, {!Adaptive}, {!Topk_eval} and the bench
-    harness differ only in their stopping rule and timing around it. *)
+    {!start} observes the initial world, {!observe} the world the caller
+    just walked to; {!evaluate}, {!Adaptive}, {!Topk_eval} and the bench
+    harness differ only in their stopping rule. Materialized is a
+    {!View_set} of one view, the same step [Serve.Registry] runs. *)
 
 type strategy = Naive | Materialized
 

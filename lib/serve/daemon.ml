@@ -110,7 +110,7 @@ let make ?scheduler cfg reg durable =
   (* Queries already present (fresh registration before [start], or a
      snapshot/WAL resume) join the scheduler now. *)
   List.iter
-    (fun (qid, _) -> Scheduler.track sched (Registry.id_to_int qid))
+    (fun (qid, _) -> Scheduler.track sched qid)
     (Registry.queries reg);
   {
     cfg;
@@ -211,9 +211,9 @@ let flush_client t c =
 
 (* ---------- requests ---------- *)
 
-let find_query t wire_id =
-  let qid = Registry.id_of_int wire_id in
-  Option.map (fun name -> (qid, name)) (Registry.query_name t.reg qid)
+let unknown_query c query =
+  enqueue c
+    (Protocol.Error { code = Protocol.Unknown_query; msg = Printf.sprintf "no query %d" query })
 
 let find_by_name t name =
   List.find_opt (fun (_, n) -> String.equal n name) (Registry.queries t.reg)
@@ -224,7 +224,7 @@ let estimates_of m = labelled (Core.Marginals.estimates m)
 let registered_reply t qid name =
   Protocol.Registered
     {
-      query = Registry.id_to_int qid;
+      query = qid;
       name;
       samples = Core.Marginals.samples (Registry.marginals t.reg qid);
     }
@@ -249,7 +249,7 @@ let handle_register t c ~sql ~name =
         match Registry.register_sql ?name t.reg sql with
         | qid ->
             t.bootstraps_this_tick <- t.bootstraps_this_tick + 1;
-            Scheduler.track t.sched (Registry.id_to_int qid);
+            Scheduler.track t.sched qid;
             let n = Option.value (Registry.query_name t.reg qid) ~default:sql in
             enqueue c (registered_reply t qid n)
         | exception Relational.Sql.Parse_error msg ->
@@ -260,30 +260,18 @@ let handle_request t c (req : Protocol.request) =
   match req with
   | Register { sql; name } -> handle_register t c ~sql ~name
   | Stream { query; every } -> (
-      match find_query t query with
-      | None ->
-          enqueue c
-            (Protocol.Error
-               {
-                 code = Protocol.Unknown_query;
-                 msg = Printf.sprintf "no query %d" query;
-               })
+      match Registry.query_name t.reg query with
+      | None -> unknown_query c query
       | Some _ ->
           let every = max 0 every in
           IT.replace c.subs query
             { every; last_emit = Registry.samples t.reg; pending = None };
           enqueue c (Protocol.Streaming { query; every }))
   | Detach { query } -> (
-      match find_query t query with
-      | None ->
-          enqueue c
-            (Protocol.Error
-               {
-                 code = Protocol.Unknown_query;
-                 msg = Printf.sprintf "no query %d" query;
-               })
-      | Some (qid, name) ->
-          let m = Registry.unregister t.reg qid in
+      match Registry.query_name t.reg query with
+      | None -> unknown_query c query
+      | Some name ->
+          let m = Registry.unregister t.reg query in
           Scheduler.untrack t.sched query;
           List.iter (fun c' -> IT.remove c'.subs query) t.clients;
           enqueue c
@@ -295,16 +283,10 @@ let handle_request t c (req : Protocol.request) =
                  estimates = estimates_of m;
                }))
   | Marginals { query } -> (
-      match find_query t query with
-      | None ->
-          enqueue c
-            (Protocol.Error
-               {
-                 code = Protocol.Unknown_query;
-                 msg = Printf.sprintf "no query %d" query;
-               })
-      | Some (qid, name) ->
-          let m = Registry.marginals t.reg qid in
+      match Registry.query_name t.reg query with
+      | None -> unknown_query c query
+      | Some name ->
+          let m = Registry.marginals t.reg query in
           enqueue c
             (Protocol.Marginals_reply
                {
@@ -315,10 +297,7 @@ let handle_request t c (req : Protocol.request) =
                }))
   | List_queries ->
       enqueue c
-        (Protocol.Queries_reply
-           (List.map
-              (fun (qid, n) -> (Registry.id_to_int qid, n))
-              (Registry.queries t.reg)))
+        (Protocol.Queries_reply (Registry.queries t.reg))
   | Stats ->
       enqueue c
         (Protocol.Stats_reply
@@ -498,10 +477,9 @@ let step_once t =
   let emissions = IT.create 16 in
   List.iter
     (fun (qid, _) ->
-      let wire_id = Registry.id_to_int qid in
       let est = Core.Marginals.estimates (Registry.marginals t.reg qid) in
-      Scheduler.observe t.sched wire_id (List.fold_left (fun acc (_, p) -> acc +. p) 0. est);
-      IT.replace emissions wire_id { est; cad = None; frame = None })
+      Scheduler.observe t.sched qid (List.fold_left (fun acc (_, p) -> acc +. p) 0. est);
+      IT.replace emissions qid { est; cad = None; frame = None })
     (Registry.queries t.reg);
   emit_updates t sample emissions
 

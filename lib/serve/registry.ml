@@ -18,97 +18,36 @@ let m_shared_nodes = Obs.Metrics.gauge "serve.shared_nodes"
    (docs/OBSERVABILITY.md, docs/DURABILITY.md §recovery). *)
 let m_replay = Obs.Metrics.counter "wal.replay_records"
 
+(* Building the snapshot image compaction writes (Durable), before the
+   encode and the file write (Checkpoint.State.save). *)
+let m_capture_ns = Obs.Metrics.histogram "checkpoint.capture_ns"
+
 type query_id = int
-
-let id_to_int id = id
-let id_of_int id = id
-
-type entry = {
-  id : query_id;
-  name : string;
-  view : View.t;
-  marginals : Core.Marginals.t;
-}
-
-module IT = Hashtbl.Make (Int)
-
-(* The views half of a registry: everything WAL replay rebuilds before a
-   chain exists. [entries] gives O(1) find/insert/remove/count;
-   [rev_order] preserves registration order (newest first — registration
-   prepends in O(1), the ordered read side reverses). Every view is
-   compiled over the one [cache], so structurally-equal subplans across
-   queries resolve to shared nodes maintained once per delta batch. *)
-type views = {
-  cache : View.cache;
-  entries : entry IT.t;
-  mutable rev_order : query_id list;
-  mutable next_id : int;
-  mutable samples : int;
-}
 
 type t = {
   pdb : Core.Pdb.t;
-  views : views;
+  views : Core.View_set.t;
+  mutable next_id : int;
+  mutable samples : int;
   mutable journal : (Checkpoint.Wal.record -> unit) option;
 }
 
-let record_queries v =
+let record_queries views =
   if Obs.Metrics.enabled () then begin
-    Obs.Metrics.set_gauge m_queries (float_of_int (IT.length v.entries));
-    Obs.Metrics.set_gauge m_shared_nodes (float_of_int (View.cache_shared v.cache))
+    Obs.Metrics.set_gauge m_queries (float_of_int (Core.View_set.count views));
+    Obs.Metrics.set_gauge m_shared_nodes (float_of_int (Core.View_set.shared_nodes views))
   end
 
-(* Registered entries in registration order ([rev_order] is newest-first,
-   so one rev_map both maps and restores the order). *)
-let in_order v =
-  List.rev_map
-    (fun id -> match IT.find_opt v.entries id with Some e -> e | None -> assert false)
-    v.rev_order
-
-let add_entry v e =
-  IT.replace v.entries e.id e;
-  v.rev_order <- e.id :: v.rev_order
-
-(* ---------- view-set transitions ----------
-
-   The three ways the registered set changes, shared by the live
-   operations and WAL replay. They take the database explicitly because
-   replay runs them over the restored tables before [make_pdb] has built
-   the chain. *)
-
-(* Attach an already-compiled plan: one full evaluation against [db],
-   which is also the query's first observed sample — matching
-   Core.Evaluator's sample-0 observation. *)
-let bootstrap v db ~id ~name algebra =
-  let view = View.create ~cache:v.cache db algebra in
-  Obs.Metrics.incr m_bootstrap_evals;
-  let marginals = Core.Marginals.create () in
-  Core.Marginals.observe marginals (View.result view);
-  add_entry v { id; name; view; marginals }
-
-let remove v e =
-  IT.remove v.entries e.id;
-  v.rev_order <- List.filter (fun i -> not (Int.equal i e.id)) v.rev_order;
-  View.release v.cache e.view
-
-(* One delta batch into every view, in registration order; [observe]
-   folds each view's new answer into its marginals (a sample point) or
-   not (an absorb). *)
-let fan_out v delta ~observe =
-  List.iter
-    (fun e ->
-      View.update e.view delta;
-      if observe then Core.Marginals.observe e.marginals (View.result e.view))
-    (in_order v)
+(* Takes the database explicitly: WAL replay runs it before [make_pdb]. *)
+let bootstrap views db ~id ~name algebra =
+  ignore (Core.View_set.bootstrap views db ~id ~name algebra : Core.View_set.entry);
+  Obs.Metrics.incr m_bootstrap_evals
 
 let create pdb =
   ignore (Core.World.drain_delta (Core.Pdb.world pdb) : Delta.t);
-  let views =
-    { cache = View.cache_create (); entries = IT.create 64; rev_order = []; next_id = 0;
-      samples = 0 }
-  in
+  let views = Core.View_set.create () in
   record_queries views;
-  { pdb; views; journal = None }
+  { pdb; views; next_id = 0; samples = 0; journal = None }
 
 let pdb t = t.pdb
 let set_journal t sink = t.journal <- Some sink
@@ -144,7 +83,7 @@ let absorb_pending t =
        the restored database and views to exactly the state the event
        that follows it (usually a [Register]) was performed under. *)
     emit t (Checkpoint.Wal.Absorb { delta = wal_delta delta });
-    fan_out t.views delta ~observe:false
+    Core.View_set.maintain t.views delta
   end
 
 (* Normalize once, at registration: syntactic rewrites put equal queries
@@ -157,8 +96,8 @@ let compile t algebra = Optimizer.reorder (Core.Pdb.db t.pdb) (Optimizer.optimiz
 
 let register ?name t algebra =
   absorb_pending t;
-  let id = t.views.next_id in
-  t.views.next_id <- id + 1;
+  let id = t.next_id in
+  t.next_id <- id + 1;
   let name = match name with Some n -> n | None -> Printf.sprintf "q%d" id in
   let algebra = compile t algebra in
   bootstrap t.views (Core.Pdb.db t.pdb) ~id ~name algebra;
@@ -171,30 +110,34 @@ let register_sql ?name t sql =
   register ~name t (Sql.parse sql)
 
 let find t id =
-  match IT.find_opt t.views.entries id with
+  match Core.View_set.find t.views id with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Serve.Registry: unknown query id %d" id)
 
 let unregister t id =
   let e = find t id in
-  remove t.views e;
+  Core.View_set.remove t.views e;
   record_queries t.views;
   emit t (Checkpoint.Wal.Unregister { id });
   e.marginals
 
-let query_count t = IT.length t.views.entries
-let queries t = List.map (fun e -> (e.id, e.name)) (in_order t.views)
-let query_name t id = Option.map (fun e -> e.name) (IT.find_opt t.views.entries id)
+let query_count t = Core.View_set.count t.views
+let queries t = List.map (fun e -> (e.Core.View_set.id, e.name)) (Core.View_set.entries t.views)
+let query_name t id = Option.map (fun e -> e.Core.View_set.name) (Core.View_set.find t.views id)
 let marginals t id = (find t id).marginals
-let samples t = t.views.samples
-let shared_nodes t = View.cache_shared t.views.cache
-let cached_nodes t = View.cache_nodes t.views.cache
+let samples t = t.samples
+let shared_nodes t = Core.View_set.shared_nodes t.views
+let cached_nodes t = Core.View_set.cached_nodes t.views
+
+let sample_point views delta =
+  Core.View_set.maintain views delta;
+  Core.View_set.fold views
 
 let step t ~thin =
   Core.Pdb.walk t.pdb ~steps:thin;
   let delta = Core.World.drain_delta (Core.Pdb.world t.pdb) in
-  Obs.Timer.record m_fanout_ns (fun () -> fan_out t.views delta ~observe:true);
-  t.views.samples <- t.views.samples + 1;
+  Obs.Timer.record m_fanout_ns (fun () -> sample_point t.views delta);
+  t.samples <- t.samples + 1;
   Obs.Metrics.incr m_samples;
   (match t.journal with
   | None -> ()
@@ -214,8 +157,8 @@ let step t ~thin =
   if Obs.Trace.enabled () then
     Obs.Trace.emit
       ~args:
-        [ ("queries", string_of_int (IT.length t.views.entries));
-          ("sample", string_of_int t.views.samples);
+        [ ("queries", string_of_int (Core.View_set.count t.views));
+          ("sample", string_of_int t.samples);
           ("delta_rows", string_of_int (Delta.total_magnitude delta)) ]
       "serve.sample"
 
@@ -231,89 +174,70 @@ let snapshot t =
   (* Bring every view up to the database's believed state first, so the
      captured node bags and the captured tables describe the same world. *)
   absorb_pending t;
-  let stats = Core.Pdb.stats t.pdb in
-  {
-    Checkpoint.State.samples = t.views.samples;
-    steps = Core.Pdb.steps_taken t.pdb;
-    proposed = stats.Mcmc.Metropolis.proposed;
-    accepted = stats.Mcmc.Metropolis.accepted;
-    next_id = t.views.next_id;
-    rng = Mcmc.Rng.export (Core.Pdb.rng t.pdb);
-    tables = Checkpoint.State.capture_tables (Core.Pdb.db t.pdb);
-    queries =
-      List.map
-        (fun e ->
-          {
-            Checkpoint.State.q_id = e.id;
-            q_name = e.name;
-            q_algebra = View.algebra e.view;
-            q_counts = Core.Marginals.counts e.marginals;
-            q_z = Core.Marginals.samples e.marginals;
-            q_nodes = List.map Bag.to_list (View.node_states e.view);
-          })
-        (in_order t.views);
-  }
+  Obs.Timer.observe m_capture_ns (fun () ->
+      let stats = Core.Pdb.stats t.pdb in
+      {
+        Checkpoint.State.samples = t.samples;
+        steps = Core.Pdb.steps_taken t.pdb;
+        proposed = stats.Mcmc.Metropolis.proposed;
+        accepted = stats.Mcmc.Metropolis.accepted;
+        next_id = t.next_id;
+        rng = Mcmc.Rng.export (Core.Pdb.rng t.pdb);
+        tables = Checkpoint.State.capture_tables (Core.Pdb.db t.pdb);
+        queries =
+          List.map
+            (fun (e : Core.View_set.entry) ->
+              {
+                Checkpoint.State.q_id = e.id;
+                q_name = e.name;
+                q_algebra = View.algebra e.view;
+                q_counts = Core.Marginals.counts e.marginals;
+                q_z = Core.Marginals.samples e.marginals;
+                q_nodes = List.map Bag.to_list (View.node_states e.view);
+              })
+            (Core.View_set.entries t.views);
+      })
 
 let bag_of_entries entries =
   let b = Bag.create () in
   List.iter (fun (row, count) -> Bag.add ~count b row) entries;
   b
 
-(* Restored entries share one cache exactly like registered ones: each
-   query's snapshot carries the (identical) bags of any shared node, and
-   View.of_states overwrites idempotently, so the shared-plan world comes
-   back deterministically from the recorded plans alone. *)
-let restore_entry ~cache db q =
-  let view =
-    View.of_states ~cache db q.Checkpoint.State.q_algebra
-      (List.map bag_of_entries q.Checkpoint.State.q_nodes)
-  in
-  let marginals =
-    Core.Marginals.of_counts ~samples:q.Checkpoint.State.q_z q.Checkpoint.State.q_counts
-  in
-  { id = q.Checkpoint.State.q_id; name = q.Checkpoint.State.q_name; view; marginals }
-
 (* ---------- WAL replay ---------- *)
 
-(* Apply one WAL delta to the restored base tables, removals before
-   insertions per table so a primary-key update (−old, +new within one
-   batch) frees the key before reclaiming it. *)
+(* Apply one WAL delta to the restored base tables and return it as the
+   Delta.t the views maintain, recorded in the log's entry order. Per
+   table, removals go before insertions so a primary-key update (−old,
+   +new within one batch) frees the key before reclaiming it. *)
 let apply_wal_delta db (delta : Checkpoint.Wal.delta) =
-  List.iter
-    (fun (table, entries) ->
-      let tbl = Database.table db table in
-      List.iter
-        (fun (row, count) ->
-          if count < 0 then
-            for _ = 1 to -count do
-              Table.delete tbl row
-            done)
-        entries;
-      List.iter
-        (fun (row, count) ->
-          if count > 0 then
-            for _ = 1 to count do
-              Table.insert tbl row
-            done)
-        entries)
-    delta
-
-(* The same batch as a Delta.t, for the view-maintenance fan-out. *)
-let delta_of_wal (delta : Checkpoint.Wal.delta) =
   let d = Delta.create () in
   List.iter
     (fun (table, entries) ->
+      let tbl = Database.table db table in
+      let inserts =
+        List.fold_left
+          (fun inserts (row, count) ->
+            if count > 0 then begin
+              for _ = 1 to count do
+                Delta.record_insert d ~table row
+              done;
+              (row, count) :: inserts
+            end
+            else begin
+              for _ = 1 to -count do
+                Delta.record_delete d ~table row;
+                Table.delete tbl row
+              done;
+              inserts
+            end)
+          [] entries
+      in
       List.iter
         (fun (row, count) ->
-          if count > 0 then
-            for _ = 1 to count do
-              Delta.record_insert d ~table row
-            done
-          else
-            for _ = 1 to -count do
-              Delta.record_delete d ~table row
-            done)
-        entries)
+          for _ = 1 to count do
+            Table.insert tbl row
+          done)
+        (List.rev inserts))
     delta;
   d
 
@@ -328,13 +252,18 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
              has not reached"
             base_samples snap_samples));
   let db = Checkpoint.State.restore_db snap.Checkpoint.State.tables in
-  let views =
-    { cache = View.cache_create (); entries = IT.create 64; rev_order = [];
-      next_id = snap.Checkpoint.State.next_id; samples = snap_samples }
-  in
+  let views = Core.View_set.create () in
+  (* Restored entries share one cache exactly like registered ones: each
+     query's snapshot carries the (identical) bags of any shared node, and
+     View.of_states overwrites idempotently, so the shared-plan world comes
+     back deterministically from the recorded plans alone. *)
   List.iter
-    (fun q -> add_entry views (restore_entry ~cache:views.cache db q))
+    (fun q ->
+      Checkpoint.State.(
+        Core.View_set.restore views db ~id:q.q_id ~name:q.q_name q.q_algebra
+          ~nodes:(List.map bag_of_entries q.q_nodes) ~counts:q.q_counts ~samples:q.q_z))
     snap.Checkpoint.State.queries;
+  let next_id = ref snap.Checkpoint.State.next_id and samples = ref snap_samples in
   (* Running sample ordinal within the log. Records at or below the
      snapshot's sample count are already part of the snapshot (the
      crash-between-snapshot-and-rotation window) and are skipped; see
@@ -345,11 +274,6 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
   let seen = ref base_samples in
   let event_live () =
     !seen > snap_samples || (Int.equal !seen snap_samples && Int.equal base_samples snap_samples)
-  in
-  let replay delta ~observe =
-    apply_wal_delta db delta;
-    fan_out views (delta_of_wal delta) ~observe;
-    Obs.Metrics.incr m_replay
   in
   (* The chain resumes from the last replayed sample when there is one,
      else from the snapshot point. *)
@@ -363,8 +287,9 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
       | Sample { steps; proposed; accepted; rng; delta } ->
           incr seen;
           if !seen > snap_samples then begin
-            replay delta ~observe:true;
-            views.samples <- views.samples + 1;
+            sample_point views (apply_wal_delta db delta);
+            Obs.Metrics.incr m_replay;
+            incr samples;
             resume_at := (steps, proposed, accepted, rng)
           end
       | Register { id; name; algebra } ->
@@ -376,15 +301,19 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
                so the rebuilt view shares the same cached subtrees the
                original did. *)
             bootstrap views db ~id ~name algebra;
-            views.next_id <- Int.max views.next_id (id + 1);
+            next_id := Int.max !next_id (id + 1);
             Obs.Metrics.incr m_replay
           end
       | Unregister { id } ->
           if event_live () then begin
-            Option.iter (remove views) (IT.find_opt views.entries id);
+            Option.iter (Core.View_set.remove views) (Core.View_set.find views id);
             Obs.Metrics.incr m_replay
           end
-      | Absorb { delta } -> if event_live () then replay delta ~observe:false)
+      | Absorb { delta } ->
+          if event_live () then begin
+            Core.View_set.maintain views (apply_wal_delta db delta);
+            Obs.Metrics.incr m_replay
+          end)
     records;
   (* The model and proposal read current field values at construction time
      (label mirrors, variable assignments), so building them over the
@@ -399,7 +328,7 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
   Core.Pdb.restore_counters pdb ~steps ~proposed ~accepted;
   ignore (Core.World.drain_delta (Core.Pdb.world pdb) : Delta.t);
   record_queries views;
-  { pdb; views; journal = None }
+  { pdb; views; next_id = !next_id; samples = !samples; journal = None }
 
 let restore ~make_pdb snap =
   restore_wal ~make_pdb snap ~base_samples:snap.Checkpoint.State.samples ~records:[]

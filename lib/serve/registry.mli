@@ -1,57 +1,38 @@
 (** Shared-chain multi-query serving: N materialized views maintained off
     one MCMC delta stream.
 
-    Algorithm 1 (§4.2) maintains {e one} query as a materialized view over
-    the Metropolis–Hastings delta stream. A database serving many
-    concurrent users must answer {e many} queries — and the same walk can
-    drive all of them, the way MarkoViews amortizes view definitions over
-    a shared distribution (Jha & Suciu, VLDB 2012) and BLOG-style engines
-    amortize one relational MCMC chain over many ground queries (Milch &
-    Russell, UAI 2006). A registry attaches any number of compiled
-    {!Relational.View} trees to a single {!Core.Pdb} chain; each sampled
-    world costs one walk of [thin] MH steps plus one delta fan-out of
-    O(Σ|probe|) across the registered views, instead of N full walks.
+    Algorithm 1 (§4.2) maintains {e one} query over the Metropolis–Hastings
+    delta stream; a registry drives many off one {!Core.Pdb} chain, the way
+    MarkoViews amortizes view definitions over a shared distribution (Jha &
+    Suciu, VLDB 2012). Each sampled world costs one walk of [thin] MH steps
+    plus one step of {!Core.View_set} — the one place that builds,
+    maintains and folds views, for the live step, absorbs and WAL replay
+    alike. The registry keeps what a view set does not know: ids, names,
+    the sample count, compilation, the journal, snapshot and restore.
 
-    Queries may be registered and unregistered mid-run. A late-registered
-    query bootstraps with one full evaluation ({!Relational.View.create}
-    against the current world, counted by the [serve.bootstrap_evals]
-    metric) and then joins the incremental stream; its marginals count
-    only the worlds sampled while it was registered. Registration drains
-    the pending world delta into the already-registered views first, so
-    every view always believes in the same database state.
+    Every registration is normalized ({!Relational.Optimizer.optimize},
+    then the stats-driven {!Relational.Optimizer.reorder}) before it joins
+    the set, so structurally-equal subplans across queries resolve to one
+    shared node (DESIGN.md §11). The compiled plan is what the WAL
+    [Register] record and the snapshot carry, so replay and restore are
+    deterministic. A query registered mid-run bootstraps with one full
+    evaluation ([serve.bootstrap_evals]) after the pending world delta is
+    absorbed into the registered views, and its marginals count only the
+    worlds sampled while it was registered.
 
-    Queries are not maintained in isolation: every registration is
-    normalized ({!Relational.Optimizer.optimize}, then the stats-driven
-    {!Relational.Optimizer.reorder}) and compiled over one shared
-    {!Relational.View.cache}, so structurally-equal subplans across
-    queries — same scans, same join predicates, same selections — resolve
-    to {e one} shared view node maintained once per delta batch and
-    fanned out to every parent (classic multi-query optimization;
-    DESIGN.md §11). Unregistering decrements subplan refcounts and tears
-    down only orphaned nodes. The compiled plan is what the WAL
-    [Register] record and the snapshot carry, making replay and restore
-    deterministic and cache-key-compatible with the original run.
-
-    Estimates are sample-path identical to running {!Core.Evaluator} per
-    query on an identically seeded chain: both observe the initial world
-    once and then each of the [samples] walked worlds (the test suite
-    pins this equality down). Metrics: [serve.queries],
-    [serve.fanout_ns], [serve.bootstrap_evals], [serve.samples],
-    [serve.shared_nodes], [serve.dedup_hits] (docs/OBSERVABILITY.md). *)
+    Estimates are sample-path identical to {!Core.Evaluator} per query on
+    an identically seeded chain (the test suite pins this down). Metrics:
+    [serve.queries], [serve.fanout_ns], [serve.bootstrap_evals],
+    [serve.samples], [serve.shared_nodes], [serve.dedup_hits]
+    (docs/OBSERVABILITY.md). *)
 
 type t
 
-type query_id
+type query_id = int
 (** Stable handle for one registered query (never reused within a
-    registry). *)
-
-val id_to_int : query_id -> int
-val id_of_int : int -> query_id
-(** Wire conversions for the daemon protocol ({!Protocol} carries query
-    ids as JSON numbers). [id_of_int] does not validate — an id that
-    names no registered query surfaces as [Invalid_argument] at the
-    accessor that receives it, which the daemon maps to the
-    [unknown_query] error frame. *)
+    registry), carried as-is on the daemon's wire. An id that names no
+    registered query raises [Invalid_argument] at the accessor that
+    receives it. *)
 
 val create : Core.Pdb.t -> t
 (** A registry serving [pdb]'s chain, with no queries yet. Any update
@@ -98,9 +79,8 @@ val cached_nodes : t -> int
 (** All live cached subplans (shared or not). *)
 
 val step : t -> thin:int -> unit
-(** Walk the chain [thin] MH steps, drain the world's delta, fan it out
-    to every registered view, and fold each view's answer into its
-    query's marginals. *)
+(** Walk the chain [thin] MH steps, drain the world's delta, and run
+    {!Core.View_set.maintain} then {!Core.View_set.fold} on it. *)
 
 val run : ?on_sample:(int -> unit) -> t -> thin:int -> samples:int -> unit
 (** [samples] consecutive {!step}s; [on_sample] (called with 1-based
@@ -124,13 +104,11 @@ val snapshot : t -> Checkpoint.State.t
 val restore : make_pdb:(Relational.Database.t -> Core.Pdb.t) -> Checkpoint.State.t -> t
 (** Rebuild a registry from a snapshot. [make_pdb db] must construct the
     chain (world, model, proposal, rng) {e over} the restored database
-    [db] it is given — the same constructor used for a fresh chain, minus
-    the synthetic data generation; the generator it creates is then
-    overwritten with the snapshot's. Performs no query evaluation
-    ([serve.bootstrap_evals] does not move). Raises [Invalid_argument] if
-    [make_pdb] ignores its database argument, and [Checkpoint.Codec.Corrupt]
-    if the snapshot is internally inconsistent. This is {!restore_wal}
-    with an empty log tail. *)
+    [db] it is given; its generator is then overwritten with the
+    snapshot's. Performs no query evaluation. Raises [Invalid_argument]
+    if [make_pdb] ignores its database argument, and
+    [Checkpoint.Codec.Corrupt] if the snapshot is internally
+    inconsistent. This is {!restore_wal} with an empty log tail. *)
 
 (** {1 Delta-log durability} (see {!Checkpoint.Wal}, {!Durable},
     docs/DURABILITY.md)
@@ -159,15 +137,13 @@ val restore_wal :
   base_samples:int ->
   records:Checkpoint.Wal.record list ->
   t
-(** {!restore}, then replay a recovered log tail on top: each live
-    [Sample] applies its delta to the restored tables, fans it out to
-    every view, observes marginals, and advances the chain's resume
+(** {!restore}, then replay a recovered log tail through the same view
+    set step as {!step}: each live [Sample] applies its delta to the
+    restored tables, maintains and folds, and advances the chain's resume
     point to its counters and generator blob; [Register]/[Unregister]/
-    [Absorb] events replay the registered-set changes (a replayed
-    registration repeats its bootstrap evaluation). Records at or below
-    the snapshot's sample count — possible when a crash hit between
-    compaction's snapshot write and its log rotation — are already part
-    of the snapshot and are skipped. Increments [wal.replay_records]
-    per applied record. Raises {!Checkpoint.Codec.Corrupt} when
-    [base_samples] is ahead of the snapshot (a state compaction's
-    write ordering makes impossible on an undamaged directory). *)
+    [Absorb] replay the registered-set changes (a replayed registration
+    repeats its bootstrap evaluation). Records at or below the snapshot's
+    sample count (a crash between compaction's snapshot write and its log
+    rotation) are skipped. Increments [wal.replay_records] per applied
+    record. Raises {!Checkpoint.Codec.Corrupt} when [base_samples] is
+    ahead of the snapshot. *)

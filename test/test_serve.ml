@@ -60,8 +60,22 @@ let check_estimates_equal msg a b =
             a b)
   then Alcotest.failf "%s: estimates diverge" msg
 
+let check_counts_equal msg a b =
+  Alcotest.(check int) (msg ^ ": samples") (Marginals.samples b) (Marginals.samples a);
+  if
+    not
+      (List.equal
+         (fun (ra, ca) (rb, cb) -> Row.equal ra rb && Int.equal ca cb)
+         (Marginals.counts a) (Marginals.counts b))
+  then Alcotest.failf "%s: counts diverge" msg
+
+let solo strategy ~seed ~thin ~samples sql =
+  Evaluator.evaluate_sql strategy (build_pdb ~seed ()) ~sql ~thin ~samples
+
 (* The headline contract: every query served off the shared chain matches a
-   dedicated Evaluator run on an identically seeded chain, exactly. *)
+   dedicated Evaluator run on an identically seeded chain, count for count
+   — both through the one View_set step, and against Algorithm 3's full
+   re-evaluation too. *)
 let test_registry_matches_evaluator () =
   let pdb = build_pdb ~seed:77 () in
   let reg = Serve.Registry.create pdb in
@@ -70,14 +84,45 @@ let test_registry_matches_evaluator () =
   Alcotest.(check int) "samples counted" 120 (Serve.Registry.samples reg);
   List.iter2
     (fun sql id ->
-      let shared = Marginals.estimates (Serve.Registry.marginals reg id) in
-      let solo =
-        Marginals.estimates
-          (Evaluator.evaluate_sql Evaluator.Materialized (build_pdb ~seed:77 ()) ~sql
-             ~thin:7 ~samples:120)
-      in
-      check_estimates_equal sql shared solo)
+      let one = Serve.Registry.create (build_pdb ~seed:77 ()) in
+      let only = Serve.Registry.register_sql one sql in
+      Serve.Registry.run one ~thin:7 ~samples:120;
+      List.iter
+        (fun strategy ->
+          let expected = solo strategy ~seed:77 ~thin:7 ~samples:120 sql in
+          let tag = sql ^ " vs " ^ Evaluator.strategy_name strategy in
+          check_counts_equal ("shared " ^ tag) (Serve.Registry.marginals reg id) expected;
+          check_counts_equal ("one-query " ^ tag) (Serve.Registry.marginals one only) expected)
+        [ Evaluator.Materialized; Evaluator.Naive ])
     test_queries ids
+
+(* The same query registered twice compiles to one shared root node, so
+   the second entry's view is maintained by the first entry's update
+   (the memoized batch). Maintaining every view before folding any must
+   still give each entry exactly its solo run's counts, sample by
+   sample. *)
+let test_duplicate_query_shares_root () =
+  let sql = List.nth test_queries 0 in
+  let reg = Serve.Registry.create (build_pdb ~seed:55 ()) in
+  let a = Serve.Registry.register_sql reg sql in
+  let nodes = Serve.Registry.cached_nodes reg in
+  let b = Serve.Registry.register_sql reg sql in
+  Alcotest.(check int) "second registration adds no node" nodes
+    (Serve.Registry.cached_nodes reg);
+  Alcotest.(check bool) "root shared" true (Serve.Registry.shared_nodes reg >= 1);
+  let pdb = build_pdb ~seed:55 () in
+  let run = Evaluator.start Evaluator.Materialized pdb ~query:(Sql.parse sql) in
+  for i = 1 to 80 do
+    Serve.Registry.step reg ~thin:3;
+    Pdb.walk pdb ~steps:3;
+    Evaluator.observe run;
+    List.iter
+      (fun id ->
+        check_counts_equal
+          (Printf.sprintf "entry %d at sample %d" id i)
+          (Serve.Registry.marginals reg id) (Evaluator.marginals run))
+      [ a; b ]
+  done
 
 (* A query registered mid-run — with MH updates still pending on the world —
    must bootstrap from the current state and then track the stream exactly.
@@ -505,6 +550,8 @@ let () =
   Alcotest.run "serve"
     [ ("registry",
        [ Alcotest.test_case "matches-evaluator" `Quick test_registry_matches_evaluator;
+         Alcotest.test_case "duplicate-query-shares-root" `Quick
+           test_duplicate_query_shares_root;
          Alcotest.test_case "late-registration" `Quick test_late_registration;
          Alcotest.test_case "unregister" `Quick test_unregister ]);
       ("sharing",

@@ -30,8 +30,10 @@
                           failpoint shim
      R11 unused-export    a val in lib/**/*.mli that no implementation outside
                           test/ references (see Exports)
+     R12 one-sample-step  View.create/of_states/update/release in lib/ outside
+                          lib/core/view_set.ml
 
-   R1–R7 are per-expression and syntactic. R8–R10 run as a second,
+   R1–R7 and R12 are per-expression and syntactic. R8–R10 run as a second,
    interprocedural phase: Callgraph collects module-qualified decls over
    every parsed implementation, Effects computes per-function effect
    summaries to a fixpoint and taint-checks flows into serialization
@@ -54,7 +56,7 @@ open Ppxlib
 (* ------------------------------------------------------------------ *)
 
 type rule = {
-  id : string;  (** machine-readable, "R1".."R7" *)
+  id : string;  (** machine-readable, "R1".."R12" *)
   rname : string;  (** kebab-case name, accepted in allowlist comments *)
   hint : string;  (** one-line fix hint, shown with every violation *)
   blurb : string;  (** one-line rationale for --list-rules *)
@@ -161,6 +163,16 @@ let rules =
       blurb =
         "an export only tests reach is code with no user: it costs review, \
          build and reading time while nothing in the system depends on it";
+    };
+    { id = "R12";
+      rname = "one-sample-step";
+      hint =
+        "build, maintain and release views through Core.View_set \
+         (bootstrap/restore/maintain/remove)";
+      blurb =
+        "Algorithm 1's step (build a view, maintain it from each delta, fold \
+         its answer) has one home, Core.View_set; a second copy in lib/ means \
+         every change to the step must land twice and the copies drift";
     }
   ]
 
@@ -247,6 +259,14 @@ let hot_text_builder = function
    on a path that does not fail, so R7 leaves it alone. *)
 let raises_argument = function [ ("invalid_arg" | "failwith" | "raise") ] -> true | _ -> false
 let r2_exempt_file = "lib/obs/timer.ml"
+
+(* R12: the one lib/ file that may build, maintain or release a view. *)
+let r12_home = "lib/core/view_set.ml"
+
+let view_lifecycle_call path =
+  match List.rev path with
+  | ("create" | "of_states" | "update" | "release") :: "View" :: _ -> true
+  | _ -> false
 let default_doc = "docs/OBSERVABILITY.md"
 
 let under dir path =
@@ -585,6 +605,7 @@ let check_structure ~rel str =
   let r7_on = r7_text_on || under_any r7_dirs rel in
   let r2_on = not (String.equal rel r2_exempt_file) in
   let r3_on = under "lib" rel || under "tools" rel in
+  let r12_on = under "lib" rel && not (String.equal rel r12_home) in
   let r6_on = under_any r6_dirs rel in
   let local_compare = defines_toplevel_compare str in
   let violations = ref [] and metrics = ref [] in
@@ -681,6 +702,9 @@ let check_structure ~rel str =
             when r3_on ->
             add (rule_exn "R3") loc "library code printing directly to stdout/stderr"
           | "Obj" :: _ :: _ -> add (rule_exn "R5") loc "use of Obj.*"
+          | path when r12_on && view_lifecycle_call path ->
+            add (rule_exn "R12") loc
+              (Printf.sprintf "`%s` outside Core.View_set" (String.concat "." path))
           | _ -> ())
         | _ -> ());
         let callee =

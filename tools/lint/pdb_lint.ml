@@ -135,7 +135,12 @@ let seeds =
        val from_example : int -> int\n\
        val helper : int -> int\n\
        (* pdb_lint: allow R11 \xe2\x80\x94 self-test: allowlist must silence R11 *)\n\
-       val allowed : int -> int\n" )
+       val allowed : int -> int\n" );
+    (* R12: a second copy of the sample step, qualified either way. *)
+    ( "lib/serve/seed_r12.ml",
+      "R12",
+      "let build db q = Relational.View.create db q\n\
+       let step v d = View.update v d\n" )
   ]
 
 (* Fixtures that must produce NO violations: sanitizer recognition, the
@@ -183,7 +188,10 @@ let clean_seeds =
     ("lib/relational/seed_r11_opened.mli", "val anything : int\n");
     ("lib/relational/seed_r11_opened.ml", "let anything = 1\n");
     ("lib/relational/seed_r11_functor.mli", "type t = int\nval compare : t -> t -> int\n");
-    ("lib/relational/seed_r11_functor.ml", "type t = int\nlet compare = Int.compare\n")
+    ("lib/relational/seed_r11_functor.ml", "type t = int\nlet compare = Int.compare\n");
+    (* R12's home, and bench/, may drive views directly. *)
+    ("lib/core/view_set.ml", "let build db q = Relational.View.create db q\n");
+    ("bench/seed_r12_bench.ml", "let step v d = Relational.View.update v d\n")
   ]
 
 (* The same violations under allowlist comments must be silent. *)
