@@ -1,6 +1,6 @@
 open Relational
 
-let version = 1
+let version = 2
 
 let m_encode_ns = Obs.Metrics.histogram "checkpoint.encode_ns"
 let m_write_ns = Obs.Metrics.histogram "checkpoint.write_ns"
@@ -10,6 +10,7 @@ let m_restores = Obs.Metrics.counter "checkpoint.restore.count"
 type table_state = {
   t_name : string;
   t_pk : string option;
+  t_columnar : bool;
   t_schema : (string * Value.ty) list;
   t_indexed : string list;
   t_rows : (Row.t * int) list;
@@ -67,6 +68,7 @@ let dec_column r =
 let enc_table b ts =
   Codec.W.string b ts.t_name;
   Codec.W.option b Codec.W.string ts.t_pk;
+  Codec.W.bool b ts.t_columnar;
   Codec.W.list b enc_column ts.t_schema;
   Codec.W.list b Codec.W.string ts.t_indexed;
   Codec.W.list b enc_entry ts.t_rows
@@ -74,10 +76,11 @@ let enc_table b ts =
 let dec_table r =
   let t_name = Codec.R.string r in
   let t_pk = Codec.R.option r Codec.R.string in
+  let t_columnar = Codec.R.bool r in
   let t_schema = Codec.R.list r dec_column in
   let t_indexed = Codec.R.list r Codec.R.string in
   let t_rows = Codec.R.list r dec_entry in
-  { t_name; t_pk; t_schema; t_indexed; t_rows }
+  { t_name; t_pk; t_columnar; t_schema; t_indexed; t_rows }
 
 let enc_query b q =
   Codec.W.uvarint b q.q_id;
@@ -134,6 +137,7 @@ let capture_tables db =
          {
            t_name = Table.name tbl;
            t_pk = Table.pk_column tbl;
+           t_columnar = (match Table.storage tbl with `Columnar -> true | `Boxed -> false);
            t_schema = columns;
            t_indexed =
              List.filter (Table.has_index tbl) (Schema.names schema)
@@ -150,7 +154,16 @@ let restore_db tables =
         Schema.make
           (List.map (fun (name, ty) -> { Schema.name; ty }) ts.t_schema)
       in
-      let tbl = Database.create_table db ?pk:ts.t_pk ~name:ts.t_name schema in
+      let tbl =
+        match (ts.t_columnar, ts.t_pk) with
+        | false, pk -> Database.create_table db ?pk ~name:ts.t_name schema
+        | true, Some pk ->
+          let tbl = Table.create_columnar ~pk ~name:ts.t_name schema in
+          Database.add_table db tbl;
+          tbl
+        | true, None ->
+          raise (Codec.Corrupt (Printf.sprintf "columnar table %S has no primary key" ts.t_name))
+      in
       List.iter
         (fun (row, count) ->
           if count < 0 then

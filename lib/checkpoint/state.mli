@@ -5,7 +5,7 @@
     serving chain (§3, §5 of the paper's architecture):
 
     - the single materialized world — every base table with schema,
-      primary key, declared indexes, and rows;
+      primary key, storage backend, declared indexes, and rows;
     - the Metropolis–Hastings accounting (steps, proposed, accepted) so a
       resumed chain reports the same acceptance rate;
     - the generator state of the chain's {!Mcmc.Rng.t}, so the resumed
@@ -28,11 +28,15 @@
 open Relational
 
 val version : int
-(** Format version stamped into the frame; {!load} refuses others. *)
+(** Format version stamped into the frame; {!load} refuses others.
+    Version 2 added [t_columnar] to the table image. *)
 
 type table_state = {
   t_name : string;
   t_pk : string option;
+  t_columnar : bool;
+      (** the {!Relational.Table.storage} backend; restore rebuilds the
+          same one, and a columnar image needs a primary key *)
   t_schema : (string * Value.ty) list;
   t_indexed : string list;  (** columns with hash indexes, sorted *)
   t_rows : (Row.t * int) list;  (** sorted by row, multiplicities > 0 *)
@@ -64,7 +68,9 @@ val capture_tables : Database.t -> table_state list
 
 val restore_db : table_state list -> Database.t
 (** A fresh database holding exactly the captured tables: schemas,
-    primary keys, rows (with multiplicity), and rebuilt indexes. *)
+    primary keys, storage backends, rows (with multiplicity), and rebuilt
+    indexes. Raises {!Codec.Corrupt} on a columnar image without a
+    primary key or on a negative row count. *)
 
 val encode : t -> string
 (** Framed, CRC-checked bytes — what {!save} writes. Deterministic. *)

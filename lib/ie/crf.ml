@@ -74,63 +74,44 @@ let max_id = Array.fold_left Int.max (-1)
 let create ?(skip_edges = true) ~params world =
   let open Relational in
   let table = Database.table (Core.World.db world) Token_table.table_name in
-  (* [strs] holds each position's Intern id of its string. *)
-  let strs, labels, truth, doc_of =
-    match Table.column_ints table "tok_id" with
-    | Some tok ->
-      (* Columnar bulk read: raw int columns, no boxed rows at any point —
-         at the paper's 1M–10M-token scale (Fig 4a) decoding the table
-         row-by-row would transiently allocate tens of millions of
-         boxes. Storage order is insertion order, which the loader emits
-         in tok_id order; verify and fall back to an argsort if rows
-         were churned. *)
-      let n = Array.length tok in
-      let col name =
-        match Table.column_ints table name with Some a -> a | None -> assert false
-      in
-      let doc = col "doc_id" and str = col "string" and lab = col "label" and tru = col "truth" in
-      let sorted =
-        let ok = ref true in
-        for i = 0 to n - 2 do
-          if tok.(i) >= tok.(i + 1) then ok := false
-        done;
-        !ok
-      in
-      let perm = Array.init n (fun i -> i) in
-      if not sorted then Array.sort (fun a b -> Int.compare tok.(a) tok.(b)) perm;
-      (* Distinct label strings number |Labels.all| + whatever TRUTH holds;
-         parse each interned id once, into a table indexed by id. *)
-      let label_cache = Array.make (Int.max (max_id lab) (max_id tru) + 1) None in
-      let label_of id =
-        match label_cache.(id) with
-        | Some l -> l
-        | None ->
-          let l = Labels.of_string (Intern.resolve id) in
-          label_cache.(id) <- Some l;
-          l
-      in
-      ( Array.init n (fun i -> str.(perm.(i))),
-        Array.init n (fun i -> label_of lab.(perm.(i))),
-        Array.init n (fun i -> label_of tru.(perm.(i))),
-        Array.init n (fun i -> doc.(perm.(i))) )
-    | None ->
-      let rows =
-        Bag.rows (Table.rows table)
-        |> List.sort (fun a b -> Value.compare (Row.get a 0) (Row.get b 0))
-        |> Array.of_list
-      in
-      let schema = Table.schema table in
-      let col name = Schema.index_of schema name in
-      let c_doc = col "doc_id"
-      and c_str = col "string"
-      and c_lab = col "label"
-      and c_tru = col "truth" in
-      ( Array.map (fun r -> Intern.intern (Value.to_string (Row.get r c_str))) rows,
-        Array.map (fun r -> Labels.of_string (Value.to_string (Row.get r c_lab))) rows,
-        Array.map (fun r -> Labels.of_string (Value.to_string (Row.get r c_tru))) rows,
-        Array.map (fun r -> Value.to_int (Row.get r c_doc)) rows )
+  (* [strs] holds each position's Intern id of its string. A bulk read of
+     the raw int columns, no boxed rows at any point — at the paper's
+     1M–10M-token scale (Fig 4a) decoding the table row-by-row would
+     transiently allocate tens of millions of boxes. Storage order is
+     insertion order, which the loader emits in tok_id order; verify and
+     fall back to an argsort if rows were churned. *)
+  let col name =
+    match Table.column_ints table name with
+    | Some a -> a
+    | None -> invalid_arg "Crf.create: TOKEN is not a columnar table"
   in
-  let n = Array.length strs in
+  let tok = col "tok_id" in
+  let n = Array.length tok in
+  let doc = col "doc_id" and str = col "string" and lab = col "label" and tru = col "truth" in
+  let sorted =
+    let ok = ref true in
+    for i = 0 to n - 2 do
+      if tok.(i) >= tok.(i + 1) then ok := false
+    done;
+    !ok
+  in
+  let perm = Array.init n (fun i -> i) in
+  if not sorted then Array.sort (fun a b -> Int.compare tok.(a) tok.(b)) perm;
+  (* Distinct label strings number |Labels.all| + whatever TRUTH holds;
+     parse each interned id once, into a table indexed by id. *)
+  let label_cache = Array.make (Int.max (max_id lab) (max_id tru) + 1) None in
+  let label_of id =
+    match label_cache.(id) with
+    | Some l -> l
+    | None ->
+      let l = Labels.of_string (Intern.resolve id) in
+      label_cache.(id) <- Some l;
+      l
+  in
+  let strs = Array.init n (fun i -> str.(perm.(i))) in
+  let labels = Array.init n (fun i -> label_of lab.(perm.(i))) in
+  let truth = Array.init n (fun i -> label_of tru.(perm.(i))) in
+  let doc_of = Array.init n (fun i -> doc.(perm.(i))) in
   (* Word types, numbered in first-occurrence order through an array
      indexed by Intern id — equal strings share an id, so no string is
      hashed per token. *)

@@ -19,8 +19,10 @@
 type t
 
 val create : ?skip_edges:bool -> params:Factorgraph.Params.t -> Core.World.t -> t
-(** Reads the TOKEN table of the world's database. [skip_edges] defaults to
-    true (the full skip-chain model); false gives the linear-chain CRF.
+(** Reads the TOKEN table of the world's database, which must be columnar
+    ({!Token_table.load}'s default and what a snapshot restores); raises
+    [Invalid_argument] otherwise. [skip_edges] defaults to true (the
+    full skip-chain model); false gives the linear-chain CRF.
     Interns every feature the model can read into [params] (at weight 0
     when unset). Skip edges join identical capitalized strings of one
     document; a group larger than 21 keeps skip factors among its first

@@ -34,8 +34,7 @@ type t = {
   mutable indexes : index list;
   (* Decoded whole-table bag, shared by every [to_bag] until the next
      mutation — scans (view builds, naive re-evaluation) would otherwise
-     re-decode all rows per call, where boxed storage hands out its live
-     bag for free. Same read-only aliasing contract as the boxed bag. *)
+     re-decode all rows per call. Read-only, like the boxed live bag. *)
   mutable cached_bag : Bag.t option;
 }
 

@@ -58,8 +58,9 @@ val iter : (Row.t -> unit) -> t -> unit
 (** Decode every live row in slot order. *)
 
 val to_bag : t -> Bag.t
-(** Materialise the whole store as a fresh bag of decoded rows (every
-    count 1). O(n); the caller owns the result. *)
+(** The whole store as one bag of decoded rows (every count 1). The bag
+    is decoded once (O(n)) and cached: every call returns the same
+    read-only bag until the store's next mutation, which drops it. *)
 
 val select : t -> (int * Value.t) list -> (Row.t -> bool) -> Bag.t
 (** [select t eqs keep] is a fresh bag of the decoded rows satisfying

@@ -145,8 +145,8 @@ let op_index : Algebra.t -> int = function
 let op_rows = Array.map (fun n -> Obs.Metrics.counter ("relop." ^ n ^ ".rows")) op_names
 let op_evals = Array.map (fun n -> Obs.Metrics.counter ("relop." ^ n ^ ".evals")) op_names
 
-let rec eval ?(override = fun _ -> None) db (q : Algebra.t) : rel =
-  let r = eval_node ~override db q in
+let rec eval db (q : Algebra.t) : rel =
+  let r = eval_node db q in
   if Obs.Metrics.enabled () then begin
     let i = op_index q in
     Obs.Metrics.incr op_evals.(i);
@@ -154,24 +154,22 @@ let rec eval ?(override = fun _ -> None) db (q : Algebra.t) : rel =
   end;
   r
 
-and eval_node ~override db (q : Algebra.t) : rel =
-  let eval_child = eval ~override db in
+and eval_node db (q : Algebra.t) : rel =
+  let eval_child = eval db in
   match q with
   | Scan { table; alias } ->
     let t = Database.table db table in
     let schema =
       match alias with None -> Table.schema t | Some a -> Schema.qualify a (Table.schema t)
     in
-    let bag = match override table with Some b -> b | None -> Table.rows t in
-    { schema; bag }
+    { schema; bag = Table.rows t }
   | Select (p, q) -> (
     (* Index fast path: a selection directly over a base scan whose
        predicate contains an equality [col = const] on an indexed column
-       probes the index and filters the residual. Only applies without an
-       override (deltas are not indexed). *)
+       probes the index and filters the residual. *)
     let index_probe () =
       match q with
-      | Algebra.Scan { table; alias } when override table = None -> (
+      | Algebra.Scan { table; alias } -> (
         let t = Database.table db table in
         let schema =
           match alias with None -> Table.schema t | Some a -> Schema.qualify a (Table.schema t)

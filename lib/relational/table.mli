@@ -17,8 +17,9 @@
     compact representation ROADMAP item 1 needs for the paper's
     1M–10M-token corpora (Fig 4a). Columnar tables are stricter: an
     [int] primary key is mandatory (set semantics), cells must match
-    their declared types and may not be [Null], and {!rows} returns a
-    fresh decoded snapshot rather than the live bag. *)
+    their declared types and may not be [Null]. Which backend a table
+    uses is this module's business: {!rows}, {!select} and the rest mean
+    the same on both. *)
 
 type t
 
@@ -31,9 +32,9 @@ val create_columnar : pk:string -> name:string -> Schema.t -> t
     column. Raises [Invalid_argument] otherwise. *)
 
 val storage : t -> [ `Boxed | `Columnar ]
-(** Which backend this table runs on. Consumers that alias {!rows} (the
-    incremental view scanner) use this to decide between aliasing the
-    live bag and owning a decoded copy. *)
+(** Which backend this table runs on. A checkpoint snapshot records it,
+    so restore rebuilds the same backend; views and model construction do
+    not read it. *)
 
 val name : t -> string
 val schema : t -> Schema.t
@@ -58,9 +59,10 @@ val update_field_by_pk : t -> Value.t -> column:string -> Value.t -> Row.t * Row
 (** Point update of one field; returns [(old_row, new_row)]. *)
 
 val rows : t -> Bag.t
-(** Boxed backend: the live multiset — callers must not mutate it.
-    Columnar backend: a fresh decoded snapshot (O(n), caller-owned)
-    that does not track later table mutations. *)
+(** One read-only bag of the table's rows, shared by every caller until
+    the table's next mutation: the live multiset on the boxed backend, a
+    cached decode ({!Col_store.to_bag}) on the columnar one. Callers must
+    not mutate it; a reader that keeps rows across mutations copies it. *)
 
 val select : t -> (int * Value.t) list -> (Row.t -> bool) -> Bag.t
 (** [select t eqs keep] is a fresh bag of the rows satisfying [keep],

@@ -13,19 +13,17 @@ module RH = Hashtbl.Make (struct
 end)
 
 (* Every node materializes its full current result in [current], maintained
-   in place as deltas flow through. K_scan over a *boxed* table aliases the
-   live base-table bag instead of copying it — the table is updated before
-   [update] runs, so the alias is always the post-update state the delta
-   rule needs. A *columnar* table (compact int-coded storage, see
-   Col_store) has no live bag to alias, so a scan node either *owns* a
-   decoded copy it maintains by folding deltas ([sc_owned], set only when
-   some maintenance-time reader exists: a nested-loop join sibling, a
-   DISTINCT parent, or the scan being the whole view) or stays empty, with
-   reset-time readers sourcing a transient decode via [source_bag] — the
-   common indexed plans over a million-row token table never hold a boxed
-   copy of it. A selection over such a scan does not decode the table at
-   all: it runs Table.select, which compares its [col = const] conjuncts
-   on the encoded columns and decodes only the rows that pass.
+   in place as deltas flow through. Storage is Table's business, so a scan
+   follows one rule on either backend: it is *owned* ([sc_owned]) when a
+   reader needs its rows while deltas flow — a nested-loop join sibling, a
+   DISTINCT parent counting child occurrences, or the root, whose
+   [current] is the view's result — and then holds its own copy of the
+   table's rows and folds each delta like any other node. A non-owned scan
+   stays empty: reset and restore read its rows from Table.rows
+   ([source_bag]), and a selection directly over it runs Table.select,
+   which on a columnar table compares its [col = const] conjuncts on the
+   encoded columns and decodes only the rows that pass — the common
+   indexed plans over a million-row token table never hold a copy of it.
 
    [footprint] is the set of canonical base-table names under the node; a
    delta batch touching none of them cannot change the node's result, so
@@ -114,6 +112,17 @@ let algebra v = v.alg
    re-evaluating anything. *)
 
 let cj_count info k = Option.value ~default:0 (VH.find_opt info.sub_counts k)
+
+let group_key info row = Array.map (fun i -> Row.get row i) info.keys_pos
+
+(* The accumulator of group [k], created empty on first sight. *)
+let group_acc info k =
+  match RH.find_opt info.groups k with
+  | Some a -> a
+  | None ->
+    let a = Group_acc.create info.spec in
+    RH.replace info.groups k a;
+    a
 
 let union_fp a b = List.fold_left (fun acc t -> if List.mem t acc then acc else t :: acc) a b
 
@@ -336,11 +345,8 @@ let rec delta db node (d : Delta.t) : Bag.t =
       if not (touches d node.footprint) then Bag.create ~size:1 ()
       else begin
         let out = delta_node db node d in
-        (* A boxed K_scan aliases the live table bag, which already absorbed
-           the batch; an owned (columnar) scan copy must fold the delta
-           itself. *)
         (match node.kind with
-        | K_scan s -> if s.sc_owned then Bag.add_bag node.current out
+        | K_scan { sc_owned = false; _ } -> () (* holds no rows *)
         | _ -> Bag.add_bag node.current out);
         if Obs.Metrics.enabled () then
           Obs.Metrics.add vop_delta_rows.(vop_index node.kind) (Bag.distinct_cardinal out);
@@ -441,7 +447,7 @@ and delta_node db node (d : Delta.t) : Bag.t =
          the child delta into accumulators; pass 3: emit new output rows. *)
       let affected : Row.t list RH.t = RH.create 8 in
       let note k = if not (RH.mem affected k) then RH.replace affected k [] in
-      Bag.iter (fun row _ -> note (Array.map (fun i -> Row.get row i) info.keys_pos)) dc;
+      Bag.iter (fun row _ -> note (group_key info row)) dc;
       let out = Bag.create () in
       RH.iter
         (fun k _ ->
@@ -451,17 +457,7 @@ and delta_node db node (d : Delta.t) : Bag.t =
           | _ -> ())
         affected;
       Bag.iter
-        (fun row c ->
-          let k = Array.map (fun i -> Row.get row i) info.keys_pos in
-          let acc =
-            match RH.find_opt info.groups k with
-            | Some a -> a
-            | None ->
-              let a = Group_acc.create info.spec in
-              RH.replace info.groups k a;
-              a
-          in
-          Group_acc.add info.spec acc row c)
+        (fun row c -> Group_acc.add info.spec (group_acc info (group_key info row)) row c)
         dc;
       RH.iter
         (fun k _ ->
@@ -523,16 +519,11 @@ let children node =
   | K_group g -> [ g.g_child ]
   | K_count_join cj -> [ cj.c_child; cj.c_sub ]
 
-(* Gauges: total view-owned materialized rows (base-table aliases excluded —
-   they are shared storage, not view memory; owned columnar-scan copies
-   count) and total distinct join-index keys, across the whole tree of the
-   view last updated. *)
+(* Gauges: total view-owned materialized rows (owned scan copies count;
+   a non-owned scan holds none) and total distinct join-index keys, across
+   the whole tree of the view last updated. *)
 let rec record_sizes node (rows, keys) =
-  let rows =
-    match node.kind with
-    | K_scan { sc_owned = false; _ } -> rows
-    | _ -> rows + Bag.distinct_cardinal node.current
-  in
+  let rows = rows + Bag.distinct_cardinal node.current in
   let keys =
     match node.kind with
     | K_join { strategy = J_indexed { left_idx; right_idx; _ }; _ } ->
@@ -558,44 +549,29 @@ let update v d =
     end
   end
 
-(* How a scan node's [current] comes back from the base table: a boxed
-   table's live bag is aliased (free, always post-update); a columnar
-   table is decoded into an owned copy only when [sc_owned], and left
-   empty otherwise. *)
-let reset_scan db node s =
-  let t = Database.table db s.sc_table in
-  match Table.storage t with
-  | `Boxed -> node.current <- Table.rows t
-  | `Columnar -> node.current <- (if s.sc_owned then Table.rows t else empty_bag ())
+(* A scan node's [current] on (re)build: an owned scan copies the
+   table's rows — Table.rows is shared and read-only — and a non-owned one
+   stays empty. *)
+let scan_rows db s =
+  if s.sc_owned then Bag.copy (Table.rows (Database.table db s.sc_table)) else empty_bag ()
 
-(* The bag a parent reads a child's post-reset state from. Equal to
-   [child.current] except for non-owned columnar scans, whose rows are
-   decoded transiently for the duration of the (re)build. *)
+(* The bag a parent reads a child's post-build state from: a non-owned
+   scan's rows come from the table, every other node's from [current]. *)
 let source_bag db child =
   match child.kind with
-  | K_scan ({ sc_owned = false; _ } as s) -> (
-    let t = Database.table db s.sc_table in
-    match Table.storage t with `Columnar -> Table.rows t | `Boxed -> child.current)
+  | K_scan { sc_owned = false; sc_table } -> Table.rows (Database.table db sc_table)
   | _ -> child.current
 
 (* Mark the scan nodes whose [current] is read while deltas flow (a
-   J_nested sibling, a DISTINCT parent counting child occurrences, or
-   the root, whose [current] is the view's result): over columnar
-   tables those must own a maintained copy. *)
+   J_nested sibling, a DISTINCT parent, or the root). *)
 let mark_scan_owned db node =
   match node.kind with
-  | K_scan s -> (
-    let t = Database.table db s.sc_table in
-    match Table.storage t with
-    | `Boxed -> ()
-    | `Columnar ->
-      if not s.sc_owned then begin
-        s.sc_owned <- true;
-        (* A shared scan already live as non-owned flips mid-flight: it
-           must start maintaining a decoded copy, seeded from the current
-           table state (equally current for every view sharing it). *)
-        if node.live then node.current <- Table.rows t
-      end)
+  | K_scan s when not s.sc_owned ->
+    s.sc_owned <- true;
+    (* A shared scan already live as non-owned flips mid-flight: it starts
+       maintaining a copy, seeded from the current table state (equally
+       current for every view sharing it). *)
+    if node.live then node.current <- scan_rows db s
   | _ -> ()
 
 let rec mark_owned_scans db node =
@@ -607,88 +583,86 @@ let rec mark_owned_scans db node =
   | _ -> ());
   List.iter (mark_owned_scans db) (children node)
 
-let rec reset_node ?(force = false) db node : unit =
-  (* Rebuild [current] and node-local state from the current database. A
-     node that is already [live] — shared from the subplan cache and
-     maintained by its existing parents — is skipped unless forced, so a
-     new registration only pays for the nodes it actually adds. *)
-  if force || not node.live then begin
-    List.iter (reset_node ~force db) (children node);
-    node.live <- true;
-    node.last_d <- None;
-    reset_kind db node
-  end
-
-and reset_kind db node : unit =
+(* A node's derived state — join indexes, group accumulators, COUNT
+   maps — built from its children's bags. Reset calls it and then derives
+   [current]; checkpoint restore calls it after filling [current] from the
+   snapshot, so nothing is evaluated. *)
+let rebuild_aux db node =
   match node.kind with
-  | K_scan s -> reset_scan db node s
-  | K_select (keep, eqs, child) ->
-    node.current <-
-      (match child.kind with
-      | K_scan { sc_owned = false; sc_table } -> Table.select (Database.table db sc_table) eqs keep
-      | _ -> Bag.filter keep child.current)
-  | K_project (positions, child) ->
-    node.current <-
-      Bag.map_rows (fun r -> Array.map (fun i -> Row.get r i) positions) (source_bag db child)
-  | K_join { pred; left; right; strategy } ->
-    let lbag = source_bag db left in
-    let rbag = source_bag db right in
-    (match strategy with
-    | J_indexed { left_idx; right_idx; _ } ->
-      Key_index.clear left_idx;
-      Key_index.add_bag left_idx lbag;
-      Key_index.clear right_idx;
-      Key_index.add_bag right_idx rbag
-    | J_nested -> ());
-    node.current <- (Eval.join_bags ?pred left.schema right.schema lbag rbag).Eval.bag
-  | K_distinct child ->
-    let out = Bag.create () in
-    Bag.iter (fun r c -> if c > 0 then Bag.add out r) (source_bag db child);
-    node.current <- out
-  | K_union (a, b) ->
-    let out = Bag.copy (source_bag db a) in
-    Bag.add_bag out (source_bag db b);
-    node.current <- out
-  | K_recompute -> node.current <- Bag.copy (Eval.eval db node.alg).Eval.bag
+  | K_scan _ | K_select _ | K_project _ | K_distinct _ | K_union _ | K_recompute -> ()
+  | K_join { strategy = J_nested; _ } -> ()
+  | K_join { strategy = J_indexed { left_idx; right_idx; _ }; left; right; _ } ->
+    Key_index.clear left_idx;
+    Key_index.add_bag left_idx (source_bag db left);
+    Key_index.clear right_idx;
+    Key_index.add_bag right_idx (source_bag db right)
   | K_group info ->
     RH.reset info.groups;
     Bag.iter
-      (fun row c ->
-        let k = Array.map (fun i -> Row.get row i) info.keys_pos in
-        let acc =
-          match RH.find_opt info.groups k with
-          | Some a -> a
-          | None ->
-            let a = Group_acc.create info.spec in
-            RH.replace info.groups k a;
-            a
-        in
-        Group_acc.add info.spec acc row c)
+      (fun row c -> Group_acc.add info.spec (group_acc info (group_key info row)) row c)
       (source_bag db info.g_child);
-    if info.global && RH.length info.groups = 0 then
-      RH.replace info.groups [||] (Group_acc.create info.spec);
-    let out = Bag.create () in
-    RH.iter
-      (fun k acc -> Bag.add out (Array.append k (Group_acc.finalize info.spec acc)))
-      info.groups;
-    node.current <- out
+    (* A global aggregate over an empty input still has its one group. *)
+    if info.global then ignore (group_acc info [||] : Group_acc.t)
   | K_count_join info ->
     VH.reset info.sub_counts;
-    Key_index.clear info.child_idx;
-    let child_bag = source_bag db info.c_child in
     Bag.iter
       (fun row c ->
         let k = Row.get row info.sub_key_pos in
         VH.replace info.sub_counts k (c + cj_count info k))
       (source_bag db info.c_sub);
-    Key_index.add_bag info.child_idx child_bag;
+    Key_index.clear info.child_idx;
+    Key_index.add_bag info.child_idx (source_bag db info.c_child)
+
+(* A node's [current] after (re)build, derived from its children's bags
+   and its own derived state. *)
+let reset_current db node : Bag.t =
+  match node.kind with
+  | K_scan s -> scan_rows db s
+  | K_select (keep, eqs, child) -> (
+    match child.kind with
+    | K_scan { sc_owned = false; sc_table } -> Table.select (Database.table db sc_table) eqs keep
+    | _ -> Bag.filter keep child.current)
+  | K_project (positions, child) ->
+    Bag.map_rows (fun r -> Array.map (fun i -> Row.get r i) positions) (source_bag db child)
+  | K_join { pred; left; right; _ } ->
+    (Eval.join_bags ?pred left.schema right.schema (source_bag db left) (source_bag db right))
+      .Eval.bag
+  | K_distinct child ->
+    let out = Bag.create () in
+    Bag.iter (fun r c -> if c > 0 then Bag.add out r) (source_bag db child);
+    out
+  | K_union (a, b) ->
+    let out = Bag.copy (source_bag db a) in
+    Bag.add_bag out (source_bag db b);
+    out
+  | K_recompute -> Bag.copy (Eval.eval db node.alg).Eval.bag
+  | K_group info ->
+    let out = Bag.create () in
+    RH.iter
+      (fun k acc -> Bag.add out (Array.append k (Group_acc.finalize info.spec acc)))
+      info.groups;
+    out
+  | K_count_join info ->
     let out = Bag.create () in
     Bag.iter
       (fun row c ->
         Bag.add ~count:c out
           (Array.append row [| Value.Int (cj_count info (Row.get row info.key_pos)) |]))
-      child_bag;
-    node.current <- out
+      (source_bag db info.c_child);
+    out
+
+let rec reset_node db node : unit =
+  (* Build [current] and node-local state from the current database. A
+     node that is already [live] — shared from the subplan cache and
+     maintained by its existing parents — is skipped, so a new
+     registration only pays for the nodes it actually adds. *)
+  if not node.live then begin
+    List.iter (reset_node db) (children node);
+    node.live <- true;
+    node.last_d <- None;
+    rebuild_aux db node;
+    node.current <- reset_current db node
+  end
 
 let create ?cache db alg =
   let root = build_shell ?cache db alg in
@@ -718,9 +692,8 @@ let release (cache : cache) v =
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing. A view's restorable state is exactly the materialized
-   bags of its non-scan nodes (scan nodes — aliases of or decoded copies
-   of live base tables — are derivable from the tables, which the
-   checkpoint stores once, database-side); join indexes, group
+   bags of its non-scan nodes (scan nodes are derivable from the tables,
+   which the checkpoint stores once, database-side); join indexes, group
    accumulators, and COUNT-subquery maps are all derivable from those bags
    without evaluating anything. Both directions traverse the tree in
    pre-order, so the state list is positional against [build_shell] of the
@@ -737,14 +710,15 @@ let node_states v =
 
 (* Shared nodes are filled once per view holding them; every view's
    snapshot captured the same sample point, so later fills overwrite a
-   node with an identical bag — idempotent by construction. *)
+   node with an identical bag — idempotent by construction. Children are
+   filled before a node's [rebuild_aux] reads their bags. *)
 let rec fill_states db node states =
   node.live <- true;
   node.last_d <- None;
   let states =
     match node.kind with
     | K_scan s ->
-      reset_scan db node s;
+      node.current <- scan_rows db s;
       states
     | _ -> (
       match states with
@@ -753,47 +727,9 @@ let rec fill_states db node states =
         rest
       | [] -> failwith "View.of_states: too few node states for this plan")
   in
-  List.fold_left (fun sts c -> fill_states db c sts) states (children node)
-
-(* Children first, so parent auxiliaries read fully restored child bags
-   ([source_bag] decodes non-owned columnar scans transiently, exactly
-   as reset does). *)
-let rec rebuild_aux db node =
-  List.iter (rebuild_aux db) (children node);
-  match node.kind with
-  | K_scan _ | K_select _ | K_project _ | K_distinct _ | K_union _ | K_recompute -> ()
-  | K_join { strategy = J_nested; _ } -> ()
-  | K_join { strategy = J_indexed { left_idx; right_idx; _ }; left; right; _ } ->
-    Key_index.clear left_idx;
-    Key_index.add_bag left_idx (source_bag db left);
-    Key_index.clear right_idx;
-    Key_index.add_bag right_idx (source_bag db right)
-  | K_group info ->
-    RH.reset info.groups;
-    Bag.iter
-      (fun row c ->
-        let k = Array.map (fun i -> Row.get row i) info.keys_pos in
-        let acc =
-          match RH.find_opt info.groups k with
-          | Some a -> a
-          | None ->
-            let a = Group_acc.create info.spec in
-            RH.replace info.groups k a;
-            a
-        in
-        Group_acc.add info.spec acc row c)
-      (source_bag db info.g_child);
-    if info.global && RH.length info.groups = 0 then
-      RH.replace info.groups [||] (Group_acc.create info.spec)
-  | K_count_join info ->
-    VH.reset info.sub_counts;
-    Bag.iter
-      (fun row c ->
-        let k = Row.get row info.sub_key_pos in
-        VH.replace info.sub_counts k (c + cj_count info k))
-      (source_bag db info.c_sub);
-    Key_index.clear info.child_idx;
-    Key_index.add_bag info.child_idx (source_bag db info.c_child)
+  let states = List.fold_left (fun sts c -> fill_states db c sts) states (children node) in
+  rebuild_aux db node;
+  states
 
 let of_states ?cache db alg states =
   let root = build_shell ?cache db alg in
@@ -802,5 +738,4 @@ let of_states ?cache db alg states =
   (match fill_states db root states with
   | [] -> ()
   | _ :: _ -> failwith "View.of_states: too many node states for this plan");
-  rebuild_aux db root;
   { db; alg; root }

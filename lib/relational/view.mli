@@ -10,8 +10,12 @@
     maintained and answer membership is [count > 0].
 
     Every node of the view tree materializes its current result bag,
-    maintained in place as deltas flow through (scans alias the live base
-    table), so delta propagation never re-evaluates a subtree:
+    maintained in place as deltas flow through, so delta propagation never
+    re-evaluates a subtree. A scan keeps its own copy of the table's rows
+    only when a reader needs them while deltas flow (a nested-loop join
+    sibling, a [Distinct] parent, or the view's root), on either storage
+    backend; otherwise it holds nothing and is read from the table at
+    build time:
 
     - [Join] nodes keep {!Key_index} hash indexes on their equi-join key
       columns for both children, turning δR⋈S' and R'⋈δS into per-delta-row
@@ -78,8 +82,8 @@ val algebra : t -> Algebra.t
 
 val node_states : t -> Bag.t list
 (** The complete restorable state of the view: one materialized bag per
-    non-scan node, in pre-order (scan nodes alias live base tables and are
-    the database's to checkpoint). Join indexes and aggregation
+    non-scan node, in pre-order (scan nodes are derivable from the base
+    tables, which are the database's to checkpoint). Join indexes and aggregation
     accumulators are derivable and deliberately excluded. The returned
     bags are copies — safe to serialize while the view keeps updating. *)
 

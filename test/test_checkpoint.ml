@@ -284,6 +284,44 @@ let test_restore_db_shape () =
   Alcotest.(check bool) "pk lookup works" true
     (Table.find_by_pk t' (Value.Int 2) <> None)
 
+(* A resumed NER chain runs on the backend it was captured on: the
+   restored TOKEN is columnar, so the model over it takes Crf.create's one
+   bulk-read path, and the restored chain's snapshot re-encodes byte for
+   byte. A columnar image without a primary key cannot be restored. *)
+let test_restore_keeps_token_columnar () =
+  let tok s = { Ie.Corpus.string = s; truth = Ie.Labels.O } in
+  let docs =
+    [ { Ie.Corpus.id = 0; tokens = Array.map tok [| "Bill"; "saw"; "IBM" |] };
+      { Ie.Corpus.id = 1; tokens = Array.map tok [| "Boston"; "Bill"; "left" |] } ]
+  in
+  let make_pdb db =
+    let world = World.create db in
+    let crf = Ie.Crf.create ~params:(Ie.Crf.default_params ()) world in
+    let rng = Mcmc.Rng.create 29 in
+    Pdb.create ~world ~proposal:(Ie.Proposals.batched_flip ~rng crf) ~rng
+  in
+  let db = Database.create () in
+  ignore (Ie.Token_table.load db docs : Table.t);
+  let reg = Serve.Registry.create (make_pdb db) in
+  ignore
+    (Serve.Registry.register_sql reg "SELECT STRING FROM TOKEN WHERE LABEL='B-PER'"
+      : Serve.Registry.query_id);
+  Serve.Registry.run reg ~thin:3 ~samples:10;
+  let snap = Serve.Registry.snapshot reg in
+  let bytes = State.encode snap in
+  let reg' = Serve.Registry.restore ~make_pdb (State.decode bytes) in
+  let token = Database.table (Pdb.db (Serve.Registry.pdb reg')) "TOKEN" in
+  Alcotest.(check bool) "restored TOKEN is columnar" true
+    (Option.is_some (Table.column_ints token "tok_id"));
+  Alcotest.(check bool) "snapshot -> restore -> snapshot is byte-identical" true
+    (String.equal bytes (State.encode (Serve.Registry.snapshot reg')));
+  let keyless =
+    List.map (fun ts -> { ts with State.t_pk = None }) snap.State.tables
+  in
+  match State.restore_db keyless with
+  | _ -> Alcotest.fail "columnar image without a primary key restored"
+  | exception Codec.Corrupt _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Failpoint *)
 
@@ -938,7 +976,9 @@ let () =
          Alcotest.test_case "restore-continues-stream" `Quick test_restore_continues_stream;
          Alcotest.test_case "file-corruption-detected" `Quick
            test_snapshot_file_corruption_detected;
-         Alcotest.test_case "restore-db-shape" `Quick test_restore_db_shape ]);
+         Alcotest.test_case "restore-db-shape" `Quick test_restore_db_shape;
+         Alcotest.test_case "restore-keeps-token-columnar" `Quick
+           test_restore_keeps_token_columnar ]);
       ("failpoint",
        [ Alcotest.test_case "one-shot" `Quick test_failpoint_one_shot;
          Alcotest.test_case "env-spec" `Quick test_failpoint_env ]);

@@ -115,6 +115,16 @@ let test_token_table_load () =
   Alcotest.(check bool) "labels initialized to O" true
     (Relational.Bag.mem res.Relational.Eval.bag (Relational.Row.make [ Relational.Value.Int (Corpus.total_tokens docs) ]))
 
+(* The model reads TOKEN through its raw columns only: a boxed TOKEN is
+   refused rather than decoded row by row. *)
+let test_crf_requires_columnar () =
+  let docs = Corpus.generate ~params:{ Corpus.default_params with n_docs = 2 } ~seed:6 () in
+  let db = Relational.Database.create () in
+  ignore (Token_table.load ~storage:`Boxed db docs : Relational.Table.t);
+  match Crf.create ~params:(Crf.default_params ()) (Core.World.create db) with
+  | _ -> Alcotest.fail "Crf.create accepted a boxed TOKEN"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* CRF: the lazy scorer must agree with the materialized template graph. *)
 
@@ -930,7 +940,9 @@ let () =
          Alcotest.test_case "truth-valid-bio" `Quick test_corpus_truth_valid_bio;
          Alcotest.test_case "target-size" `Quick test_corpus_target_size;
          Alcotest.test_case "ambiguity-and-repeats" `Quick test_corpus_has_ambiguity_and_repeats ]);
-      ("token-table", [ Alcotest.test_case "load" `Quick test_token_table_load ]);
+      ("token-table",
+       [ Alcotest.test_case "load" `Quick test_token_table_load;
+         Alcotest.test_case "crf-requires-columnar" `Quick test_crf_requires_columnar ]);
       ("crf",
        [ Alcotest.test_case "matches-template-graph" `Quick test_crf_matches_template_graph;
          Alcotest.test_case "write-through" `Quick test_crf_write_through;

@@ -1166,6 +1166,93 @@ let test_columnar_view_maintenance () =
   Delta.record_delete d3 ~table:"TOKEN" row;
   step d3
 
+(* A nested-loop self-join: each aliased scan is the other's J_nested
+   sibling, so both are owned and each holds its own copy of the rows. On
+   a columnar table Table.rows is one cached decode, so two scans aliasing
+   it would fold every delta into the same bag twice. *)
+let nested_self_join =
+  "SELECT a.tok_id, b.label FROM TOKEN a, TOKEN b WHERE a.tok_id < b.tok_id AND a.label < b.label"
+
+let relabel t delta id label =
+  let old_row, new_row = Table.update_field_by_pk t (Int id) ~column:"label" (Text label) in
+  Delta.record_update delta ~table:"TOKEN" ~old_row ~new_row
+
+let test_aliased_self_join_both_backends () =
+  List.iter
+    (fun (backend, t) ->
+      let db = Database.create () in
+      Database.add_table db t;
+      let q = Sql.parse nested_self_join in
+      let view = View.create db q in
+      List.iteri
+        (fun i (id, label) ->
+          let d = Delta.create () in
+          relabel t d id label;
+          View.update view d;
+          check_bag
+            (Printf.sprintf "%s: view = full requery after update %d" backend (i + 1))
+            (Eval.eval db q).Eval.bag (View.result view))
+        [ (2, "B-PER"); (4, "O"); (1, "I-PER"); (6, "B-ORG") ])
+    [ ("boxed", mk_token_table sample_rows); ("columnar", mk_columnar_token_table sample_rows) ]
+
+(* The same random TOKEN rows, loaded boxed and columnar, drive one plan
+   list: owned scans (a root scan, DISTINCT over a scan, both sides of a
+   nested-loop self-join) and non-owned ones (under selections, an equi
+   join and a GROUP BY). The last two plans share aliased scan nodes under
+   one cache: the first leaves scan [a] live and non-owned, the second
+   turns it owned. After every batch of label updates each view equals
+   re-evaluation, and the two backends' views hold the same rows. *)
+let differential_plans () =
+  [ Algebra.scan "TOKEN";
+    Algebra.(Distinct (scan "TOKEN"));
+    Sql.parse nested_self_join;
+    Sql.parse
+      "SELECT a.string, b.label FROM TOKEN a, TOKEN b WHERE a.doc_id = b.doc_id AND \
+       a.label = 'B-PER'";
+    Sql.parse "SELECT label, COUNT(*) AS n FROM TOKEN GROUP BY label" ]
+
+let cached_plans () =
+  [ Sql.parse "SELECT a.string FROM TOKEN a WHERE a.label = 'B-PER'"; Sql.parse nested_self_join ]
+
+let prop_backends_agree =
+  QCheck.Test.make ~name:"view: boxed and columnar backends agree" ~count:40
+    QCheck.(pair small_nat (int_range 1 24))
+    (fun (seed, n_rows) ->
+      let rand = Prng.of_seeds [| seed; 907 |] in
+      let pick pool = pool.(Prng.int rand (Array.length pool)) in
+      let rows =
+        List.init n_rows (fun i -> (i, 1 + Prng.int rand 3, pick strings_pool, pick labels_pool))
+      in
+      let batches =
+        List.init 6 (fun _ ->
+            List.init (1 + Prng.int rand 4) (fun _ -> (Prng.int rand n_rows, pick labels_pool)))
+      in
+      let run t =
+        let db = Database.create () in
+        Database.add_table db t;
+        let cache = View.cache_create () in
+        let plans = differential_plans () @ cached_plans () in
+        let views =
+          List.map (View.create db) (differential_plans ())
+          @ List.map (View.create ~cache db) (cached_plans ())
+        in
+        List.map
+          (fun batch ->
+            let d = Delta.create () in
+            List.iter (fun (id, label) -> relabel t d id label) batch;
+            List.iter (fun v -> View.update v d) views;
+            List.iter2
+              (fun q v ->
+                if not (bag_equal (Eval.eval db q).Eval.bag (View.result v)) then
+                  QCheck.Test.fail_reportf "view of %a diverged from re-evaluation" Algebra.pp q)
+              plans views;
+            List.map (fun v -> Bag.copy (View.result v)) views)
+          batches
+      in
+      let boxed = run (mk_token_table rows) in
+      let columnar = run (mk_columnar_token_table rows) in
+      List.for_all2 (List.for_all2 bag_equal) boxed columnar)
+
 (* The columnar selection kernel (Table.select over Col_store) must equal
    filtering a full decode with the compiled predicate, whatever the
    equality conjuncts it pre-filters on: int/text/bool constants, text
@@ -1339,6 +1426,9 @@ let () =
          Alcotest.test_case "strictness" `Quick test_columnar_strictness;
          Alcotest.test_case "view-maintenance" `Quick test_columnar_view_maintenance;
          Alcotest.test_case "query4-view-matches-boxed" `Quick test_columnar_query4_view;
+         Alcotest.test_case "aliased-self-join-both-backends" `Quick
+           test_aliased_self_join_both_backends;
+         qc prop_backends_agree;
          qc prop_select_kernel ]);
       ("index-path",
        [ Alcotest.test_case "agrees-with-scan" `Quick test_indexed_selection_agrees;

@@ -13,7 +13,9 @@
 # line and the crash run's metrics-snapshot notice may differ): recovery is only real if a crash, a retry, and the
 # durable machinery itself are invisible in the numbers. --top 100
 # prints every answer tuple, so a trajectory change cannot hide below
-# the cut.
+# the cut. The resumed chain must also run on the storage backend a
+# fresh one loads: its storage.bytes_per_row gauge (set only by the
+# columnar store) must be non-zero and equal the plain run's.
 set -eu
 cd "$(dirname "$0")/.."
 CLI=_build/default/bin/pdb_cli.exe
@@ -38,11 +40,21 @@ grep -q '"checkpoint.retry.count": *1' "$TMP/m.json" || {
   echo "durability_smoke: the failpoint did not force exactly one retry" >&2
   exit 1
 }
-serve --wal-dir "$TMP/d" --resume > "$TMP/resumed.txt"
-serve > "$TMP/plain.txt"
+serve --wal-dir "$TMP/d" --resume --metrics-out "$TMP/resumed.json" > "$TMP/resumed.txt"
+serve --metrics-out "$TMP/plain.json" > "$TMP/plain.txt"
 for run in crash resumed plain; do
   grep -v -e '^served ' -e '^metrics snapshot written' "$TMP/$run.txt" > "$TMP/$run.ans"
 done
 diff "$TMP/crash.ans" "$TMP/resumed.ans"
 diff "$TMP/crash.ans" "$TMP/plain.ans"
-echo "durability_smoke: OK (crash, resume and uninterrupted runs agree)"
+bytes_per_row() {
+  grep -o '"storage.bytes_per_row": *[^,}]*' "$1" | sed 's/.*: *//'
+}
+resumed_bpr=$(bytes_per_row "$TMP/resumed.json")
+plain_bpr=$(bytes_per_row "$TMP/plain.json")
+if [ -z "$resumed_bpr" ] || [ "$resumed_bpr" = 0 ] || [ "$resumed_bpr" != "$plain_bpr" ]; then
+  echo "durability_smoke: resumed storage.bytes_per_row '$resumed_bpr' differs from the" \
+    "plain run's '$plain_bpr': the restored TOKEN is not columnar" >&2
+  exit 1
+fi
+echo "durability_smoke: OK (crash, resume and uninterrupted runs agree; storage.bytes_per_row $plain_bpr)"
