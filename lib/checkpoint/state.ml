@@ -1,6 +1,6 @@
 open Relational
 
-let version = 2
+let version = 3
 
 let m_encode_ns = Obs.Metrics.histogram "checkpoint.encode_ns"
 let m_write_ns = Obs.Metrics.histogram "checkpoint.write_ns"
@@ -22,7 +22,6 @@ type query_state = {
   q_algebra : Algebra.t;
   q_counts : (Row.t * int) list;
   q_z : int;
-  q_nodes : (Row.t * int) list list;
 }
 
 type t = {
@@ -87,8 +86,7 @@ let enc_query b q =
   Codec.W.string b q.q_name;
   Wire.enc_algebra b q.q_algebra;
   Codec.W.list b enc_entry q.q_counts;
-  Codec.W.uvarint b q.q_z;
-  Codec.W.list b (fun b entries -> Codec.W.list b enc_entry entries) q.q_nodes
+  Codec.W.uvarint b q.q_z
 
 let dec_query r =
   let q_id = Codec.R.uvarint r in
@@ -96,8 +94,7 @@ let dec_query r =
   let q_algebra = Wire.dec_algebra r in
   let q_counts = Codec.R.list r dec_entry in
   let q_z = Codec.R.uvarint r in
-  let q_nodes = Codec.R.list r (fun r -> Codec.R.list r dec_entry) in
-  { q_id; q_name; q_algebra; q_counts; q_z; q_nodes }
+  { q_id; q_name; q_algebra; q_counts; q_z }
 
 let encode t =
   let b = Codec.W.create () in

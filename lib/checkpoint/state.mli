@@ -1,7 +1,7 @@
 (** The chain snapshot: everything a sampling process needs to resume as
     if it had never stopped.
 
-    A snapshot is a pure value capturing the five moving parts of a
+    A snapshot is a pure value capturing the four moving parts of a
     serving chain (§3, §5 of the paper's architecture):
 
     - the single materialized world — every base table with schema,
@@ -10,10 +10,13 @@
       resumed chain reports the same acceptance rate;
     - the generator state of the chain's {!Mcmc.Rng.t}, so the resumed
       walk draws the {e same} trajectory the uninterrupted one would;
-    - per-query marginal counters (Eq. 5 raw counts plus normalizer);
-    - each registered view's materialized per-node bags, so restoration
-      rebuilds views via [View.of_states] — {e zero} bootstrap
-      evaluations.
+    - per-query plans and marginal counters (Eq. 5 raw counts plus
+      normalizer).
+
+    No view state is stored: a materialized view equals its query over
+    the current world (Algorithm 1, Eq. 6), so restore rebuilds each
+    view by one evaluation of its plan over the restored tables, the
+    way a registration builds it.
 
     Encoding is canonical: tables sorted by name, bag entries sorted by
     row, so snapshot → restore → snapshot is byte-identical. Files carry
@@ -29,7 +32,8 @@ open Relational
 
 val version : int
 (** Format version stamped into the frame; {!load} refuses others.
-    Version 2 added [t_columnar] to the table image. *)
+    Version 2 added [t_columnar] to the table image; version 3 dropped
+    the per-query view node bags. *)
 
 type table_state = {
   t_name : string;
@@ -48,8 +52,6 @@ type query_state = {
   q_algebra : Algebra.t;
   q_counts : (Row.t * int) list;  (** marginal hit counts, sorted by row *)
   q_z : int;  (** marginal normalizer (samples observed) *)
-  q_nodes : (Row.t * int) list list;
-      (** per-node materialized bags in [View.node_states] order *)
 }
 
 type t = {

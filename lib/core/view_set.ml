@@ -33,8 +33,8 @@ let bootstrap t db ~id ~name algebra =
   add t e;
   e
 
-let restore t db ~id ~name algebra ~nodes ~counts ~samples =
-  let view = View.of_states ~cache:t.cache db algebra nodes in
+let restore t db ~id ~name algebra ~counts ~samples =
+  let view = View.create ~cache:t.cache db algebra in
   add t { id; name; view; marginals = Marginals.of_counts ~samples counts }
 
 let remove t e =

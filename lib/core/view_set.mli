@@ -27,11 +27,12 @@ val restore :
   id:int ->
   name:string ->
   Relational.Algebra.t ->
-  nodes:Relational.Bag.t list ->
   counts:(Relational.Row.t * int) list ->
   samples:int ->
   unit
-(** {!Relational.View.of_states} plus {!Marginals.of_counts}: no evaluation. *)
+(** A view built like {!bootstrap}'s, by one full evaluation over the
+    restored database, with marginals from {!Marginals.of_counts} instead
+    of a sample-0 fold. *)
 
 val remove : t -> entry -> unit
 

@@ -19,7 +19,7 @@ end)
    DISTINCT parent counting child occurrences, or the root, whose
    [current] is the view's result — and then holds its own copy of the
    table's rows and folds each delta like any other node. A non-owned scan
-   stays empty: reset and restore read its rows from Table.rows
+   stays empty: reset reads its rows from Table.rows
    ([source_bag]), and a selection directly over it runs Table.select,
    which on a columnar table compares its [col = const] conjuncts on the
    encoded columns and decodes only the rows that pass — the common
@@ -30,8 +30,8 @@ end)
    propagation short-circuits the whole subtree — this is what keeps
    K_recompute fallbacks (Diff, Order_by+limit) from re-running on every
    batch. *)
-(* [live] tracks whether the node's state has been initialized (reset or
-   checkpoint-filled); a shared node acquired from a subplan cache is
+(* [live] tracks whether the node's state has been initialized by
+   [reset_node]; a shared node acquired from a subplan cache is
    already live and registration skips re-initializing it — that is what
    makes registering the Nth overlapping query cost O(new nodes).
 
@@ -107,9 +107,8 @@ let algebra v = v.alg
    operator kinds, join strategies, schemas, footprints — leaving every
    [current], index, and accumulator empty; [reset_node] then initializes
    all of that state bottom-up from the database. Splitting them is what
-   lets a checkpoint restore ([of_states]) reuse the identical structural
-   decisions while filling [current] from snapshot bags instead of
-   re-evaluating anything. *)
+   lets a view built over a subplan cache adopt the shared nodes that are
+   already live and initialize only the ones it adds. *)
 
 let cj_count info k = Option.value ~default:0 (VH.find_opt info.sub_counts k)
 
@@ -584,9 +583,8 @@ let rec mark_owned_scans db node =
   List.iter (mark_owned_scans db) (children node)
 
 (* A node's derived state — join indexes, group accumulators, COUNT
-   maps — built from its children's bags. Reset calls it and then derives
-   [current]; checkpoint restore calls it after filling [current] from the
-   snapshot, so nothing is evaluated. *)
+   maps — built from its children's bags; reset then derives [current]
+   from it. *)
 let rebuild_aux db node =
   match node.kind with
   | K_scan _ | K_select _ | K_project _ | K_distinct _ | K_union _ | K_recompute -> ()
@@ -689,53 +687,3 @@ let release (cache : cache) v =
       end
   in
   drop v.alg
-
-(* ------------------------------------------------------------------ *)
-(* Checkpointing. A view's restorable state is exactly the materialized
-   bags of its non-scan nodes (scan nodes are derivable from the tables,
-   which the checkpoint stores once, database-side); join indexes, group
-   accumulators, and COUNT-subquery maps are all derivable from those bags
-   without evaluating anything. Both directions traverse the tree in
-   pre-order, so the state list is positional against [build_shell] of the
-   same algebra. *)
-
-let rec fold_nodes f acc node = List.fold_left (fold_nodes f) (f acc node) (children node)
-
-let node_states v =
-  List.rev
-    (fold_nodes
-       (fun acc node ->
-         match node.kind with K_scan _ -> acc | _ -> Bag.copy node.current :: acc)
-       [] v.root)
-
-(* Shared nodes are filled once per view holding them; every view's
-   snapshot captured the same sample point, so later fills overwrite a
-   node with an identical bag — idempotent by construction. Children are
-   filled before a node's [rebuild_aux] reads their bags. *)
-let rec fill_states db node states =
-  node.live <- true;
-  node.last_d <- None;
-  let states =
-    match node.kind with
-    | K_scan s ->
-      node.current <- scan_rows db s;
-      states
-    | _ -> (
-      match states with
-      | bag :: rest ->
-        node.current <- Bag.copy bag;
-        rest
-      | [] -> failwith "View.of_states: too few node states for this plan")
-  in
-  let states = List.fold_left (fun sts c -> fill_states db c sts) states (children node) in
-  rebuild_aux db node;
-  states
-
-let of_states ?cache db alg states =
-  let root = build_shell ?cache db alg in
-  mark_owned_scans db root;
-  mark_scan_owned db root;
-  (match fill_states db root states with
-  | [] -> ()
-  | _ :: _ -> failwith "View.of_states: too many node states for this plan");
-  { db; alg; root }

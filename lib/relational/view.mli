@@ -80,17 +80,3 @@ val update : t -> Delta.t -> unit
 
 val algebra : t -> Algebra.t
 
-val node_states : t -> Bag.t list
-(** The complete restorable state of the view: one materialized bag per
-    non-scan node, in pre-order (scan nodes are derivable from the base
-    tables, which are the database's to checkpoint). Join indexes and aggregation
-    accumulators are derivable and deliberately excluded. The returned
-    bags are copies — safe to serialize while the view keeps updating. *)
-
-val of_states : ?cache:cache -> Database.t -> Algebra.t -> Bag.t list -> t
-(** Rebuild a view over [db] from {!node_states} of an identical plan
-    captured when [db] was in its current state — {e without} evaluating
-    the query: structure comes from the algebra, materialized results from
-    the state list, and auxiliary indexes are reconstructed from those
-    bags. Raises [Failure] when the state list does not match the plan
-    shape. *)

@@ -3,11 +3,11 @@ open Relational
 (* Observability (docs/OBSERVABILITY.md): the serving layer's cost split.
    One walked world costs one "serve.fanout_ns" span covering every
    registered view's maintenance + observation; "serve.bootstrap_evals"
-   counts the full evaluations paid by late registrations — the only
-   non-incremental query work this layer ever does. "serve.shared_nodes"
-   gauges how many cached subplans are currently multi-parent (the
-   multi-query-optimization win; its per-batch payoff is the
-   "serve.dedup_hits" counter the shared nodes themselves emit). *)
+   counts the full evaluations paid by registrations and by restore's
+   rebuilds — the only non-incremental query work this layer ever does.
+   "serve.shared_nodes" gauges how many cached subplans are currently
+   multi-parent (the multi-query-optimization win; its per-batch payoff
+   is the "serve.dedup_hits" counter the shared nodes themselves emit). *)
 let m_queries = Obs.Metrics.gauge "serve.queries"
 let m_fanout_ns = Obs.Metrics.counter "serve.fanout_ns"
 let m_bootstrap_evals = Obs.Metrics.counter "serve.bootstrap_evals"
@@ -171,8 +171,9 @@ let run ?on_sample t ~thin ~samples =
 (* ---------- durability (lib/checkpoint) ---------- *)
 
 let snapshot t =
-  (* Bring every view up to the database's believed state first, so the
-     captured node bags and the captured tables describe the same world. *)
+  (* Drain the pending world delta into the views first: the log's next
+     [Sample] record must start from the world the captured tables hold,
+     or replay would apply this delta twice. *)
   absorb_pending t;
   Obs.Timer.observe m_capture_ns (fun () ->
       let stats = Core.Pdb.stats t.pdb in
@@ -193,15 +194,9 @@ let snapshot t =
                 q_algebra = View.algebra e.view;
                 q_counts = Core.Marginals.counts e.marginals;
                 q_z = Core.Marginals.samples e.marginals;
-                q_nodes = List.map Bag.to_list (View.node_states e.view);
               })
             (Core.View_set.entries t.views);
       })
-
-let bag_of_entries entries =
-  let b = Bag.create () in
-  List.iter (fun (row, count) -> Bag.add ~count b row) entries;
-  b
 
 (* ---------- WAL replay ---------- *)
 
@@ -253,15 +248,16 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
             base_samples snap_samples));
   let db = Checkpoint.State.restore_db snap.Checkpoint.State.tables in
   let views = Core.View_set.create () in
-  (* Restored entries share one cache exactly like registered ones: each
-     query's snapshot carries the (identical) bags of any shared node, and
-     View.of_states overwrites idempotently, so the shared-plan world comes
-     back deterministically from the recorded plans alone. *)
+  (* Each view is rebuilt the way a registration builds it: one evaluation
+     of the recorded plan over the restored tables, through the one cache
+     in registration order, so the shared-plan world comes back from the
+     plans alone. *)
   List.iter
     (fun q ->
       Checkpoint.State.(
         Core.View_set.restore views db ~id:q.q_id ~name:q.q_name q.q_algebra
-          ~nodes:(List.map bag_of_entries q.q_nodes) ~counts:q.q_counts ~samples:q.q_z))
+          ~counts:q.q_counts ~samples:q.q_z);
+      Obs.Metrics.incr m_bootstrap_evals)
     snap.Checkpoint.State.queries;
   let next_id = ref snap.Checkpoint.State.next_id and samples = ref snap_samples in
   (* Running sample ordinal within the log. Records at or below the
@@ -295,11 +291,9 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
       | Register { id; name; algebra } ->
           if event_live () then begin
             (* Replaying a late registration repeats its bootstrap
-               evaluation — the one full-query cost a WAL restore can
-               pay, and only for queries registered after the last
-               compaction. The record carries the already-compiled plan,
-               so the rebuilt view shares the same cached subtrees the
-               original did. *)
+               evaluation, as restoring a snapshot's query does. The
+               record carries the already-compiled plan, so the rebuilt
+               view shares the same cached subtrees the original did. *)
             bootstrap views db ~id ~name algebra;
             next_id := Int.max !next_id (id + 1);
             Obs.Metrics.incr m_replay

@@ -88,25 +88,35 @@ val run : ?on_sample:(int -> unit) -> t -> thin:int -> samples:int -> unit
 
 (** {1 Durability}
 
-    A registry checkpoints into a {!Checkpoint.State.t} and resumes from
-    one with {e zero} bootstrap evaluations: views are rebuilt from their
-    materialized node bags ([Relational.View.of_states]), marginals from
-    their raw counts, and the chain's generator state is imported so the
-    resumed walk is sample-path identical to an uninterrupted one. *)
+    A registry checkpoints into a {!Checkpoint.State.t}: the world, the
+    chain and each query's plan and marginal counts, but no view state.
+    Restore rebuilds every view the way {!register} builds one, by one
+    evaluation of its plan over the restored tables (each counted in
+    [serve.bootstrap_evals]), restores marginals from their raw counts,
+    and imports the chain's generator state so the resumed walk is
+    sample-path identical to an uninterrupted one.
+
+    Views over integer-valued aggregates and plain rows resume
+    bit-identical. A float aggregate ([SUM]/[AVG] over a [Float]
+    column) resumes at the fresh evaluation of the restored tables, not
+    at the uninterrupted run's maintained value: adding and subtracting
+    deltas rounds differently from summing the current rows, so the two
+    may differ in the last bits. *)
 
 val snapshot : t -> Checkpoint.State.t
 (** Capture the full serving state: the database image, MH accounting,
-    generator state, and every query's plan, marginal counts, and
-    materialized view state. Any pending world delta is absorbed into the
-    views first so tables and node bags describe the same world. Call
-    between {!step}s (not from inside [on_sample] mid-walk). *)
+    generator state, and every query's plan and marginal counts. Any
+    pending world delta is absorbed into the views first (journaled as an
+    [Absorb] when a journal is attached), so the log's next [Sample]
+    starts from the world the captured tables hold. Call between
+    {!step}s (not from inside [on_sample] mid-walk). *)
 
 val restore : make_pdb:(Relational.Database.t -> Core.Pdb.t) -> Checkpoint.State.t -> t
 (** Rebuild a registry from a snapshot. [make_pdb db] must construct the
     chain (world, model, proposal, rng) {e over} the restored database
     [db] it is given; its generator is then overwritten with the
-    snapshot's. Performs no query evaluation. Raises [Invalid_argument]
-    if [make_pdb] ignores its database argument, and
+    snapshot's. Evaluates each recorded plan once. Raises
+    [Invalid_argument] if [make_pdb] ignores its database argument, and
     [Checkpoint.Codec.Corrupt] if the snapshot is internally
     inconsistent. This is {!restore_wal} with an empty log tail. *)
 

@@ -50,6 +50,12 @@ echo "ci: wal durability bench (smoke)"
 # assertions) and regenerates BENCH_wal.json for the gate below.
 dune exec bench/main.exe -- wal-smoke
 test -s BENCH_wal.json
+echo "ci: checkpoint bench (smoke)"
+# Smallest-size run of the snapshot group: times a snapshot and a restore
+# of the current format and regenerates BENCH_checkpoint.json, so the
+# gate's bytes-per-token ceiling reads today's snapshot, not a stale one.
+dune exec bench/main.exe -- checkpoint-smoke
+test -s BENCH_checkpoint.json
 echo "ci: sharded-chain bench (smoke)"
 # Smallest-size run of the shard group: measures boxed-vs-columnar
 # bytes/token and the samples/s shard sweep end to end (including the

@@ -30,7 +30,7 @@
                           failpoint shim
      R11 unused-export    a val in lib/**/*.mli that no implementation outside
                           test/ references (see Exports)
-     R12 one-sample-step  View.create/of_states/update/release in lib/ outside
+     R12 one-sample-step  View.create/update/release in lib/ outside
                           lib/core/view_set.ml
 
    R1–R7 and R12 are per-expression and syntactic. R8–R10 run as a second,
@@ -265,7 +265,7 @@ let r12_home = "lib/core/view_set.ml"
 
 let view_lifecycle_call path =
   match List.rev path with
-  | ("create" | "of_states" | "update" | "release") :: "View" :: _ -> true
+  | ("create" | "update" | "release") :: "View" :: _ -> true
   | _ -> false
 let default_doc = "docs/OBSERVABILITY.md"
 
